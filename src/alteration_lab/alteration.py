@@ -78,17 +78,15 @@ def greedy_alteration(
     canon_order = [canonical_pair(u, v) for u, v in order]
     if sorted(canon_order) != list(graph.edges):
         raise ValueError("order must be a permutation of the graph's edges")
-    adjacency: list[set[int]] = [set() for _ in range(graph.n)]
+    masks = [0] * graph.n
     accepted: list[tuple[int, int]] = []
     removed: list[tuple[int, int]] = []
     for u, v in canon_order:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        if has_copy_through_edge(adjacency, pattern, u, v):
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
+        if has_copy_through_edge(masks, pattern, u, v):
             removed.append((u, v))
         else:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             accepted.append((u, v))
     return AlterationResult(
         input_graph=graph,

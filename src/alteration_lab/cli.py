@@ -39,10 +39,14 @@ from .experiments import (
 from .graphs import Graph, load_structure, pattern_from_name
 
 
-def _load_pattern(value: str):
-    if os.path.exists(value):
-        return load_structure(value)
-    return pattern_from_name(value)
+def _load(value: str, hint: str):
+    """A structure from a file, or else a pattern name; bad input is a usage error."""
+    try:
+        if os.path.exists(value):
+            return load_structure(value)
+        return pattern_from_name(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=hint) from exc
 
 
 def _parse_vertices(value: str) -> list[int]:
@@ -85,7 +89,7 @@ def main(ctx: click.Context, config: str | None) -> None:
 @fmt_option
 def density(pattern: str, core: bool, fmt: str) -> None:
     """Exact density report for a pattern (name like K3/C5/P4/K4r3 or a file)."""
-    pat = _load_pattern(pattern)
+    pat = _load(pattern, "PATTERN")
     rep = density_report(pat)
     obj = {
         "value": str(rep.value),
@@ -108,8 +112,8 @@ def density(pattern: str, core: bool, fmt: str) -> None:
 @fmt_option
 def copies(host: str, pattern: str, k_sets: tuple[str, ...], cap: int, fmt: str) -> None:
     """Enumerate pattern copies of a host; optional per-K statistics."""
-    h = load_structure(host)
-    pat = _load_pattern(pattern)
+    h = _load(host, "HOST")
+    pat = _load(pattern, "--pattern")
     index = enumerate_copies(h, pat)
     obj: dict = {
         "copies": len(index),
@@ -153,10 +157,10 @@ def copies(host: str, pattern: str, k_sets: tuple[str, ...], cap: int, fmt: str)
 @click.option("--out", "out_file", type=click.Path(), default=None, help="Write the altered graph here instead of stdout.")
 def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file: str | None) -> None:
     """Apply an alteration method; prints the altered graph in text format."""
-    g = load_structure(host)
+    g = _load(host, "HOST")
     if not isinstance(g, Graph):
         raise click.UsageError("alterations run on graph hosts")
-    pat = _load_pattern(pattern)
+    pat = _load(pattern, "--pattern")
     if not isinstance(pat, Graph):
         raise click.UsageError("alterations take graph patterns")
     if method == "refined":
@@ -187,7 +191,7 @@ def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file:
 @fmt_option
 def alpha(host: str, budget: int, fmt: str) -> None:
     """Exact independence number with witness (certified bounds on budget stop)."""
-    g = load_structure(host)
+    g = _load(host, "HOST")
     if not isinstance(g, Graph):
         raise click.UsageError("independence number runs on graphs")
     res = independence_number(g, budget=budget)
@@ -204,8 +208,8 @@ def alpha(host: str, budget: int, fmt: str) -> None:
 
 
 def _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r):
-    members = [_load_pattern(f) for f in family] if family else None
-    pat = _load_pattern(pattern) if pattern else None
+    members = [_load(f, "--family") for f in family] if family else None
+    pat = _load(pattern, "--pattern") if pattern else None
     params = derive_parameters(
         pat,
         members,
@@ -275,7 +279,7 @@ def lemma5(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, see
 @fmt_option
 def tail(n, pattern, k_size, p, trials, seed, xs, cap, out, fmt):
     """Disjoint-packing tail bound check against (e*mu/x)^x."""
-    pat = _load_pattern(pattern)
+    pat = _load(pattern, "--pattern")
     if not isinstance(pat, Graph):
         raise click.UsageError("tail check runs on graph patterns")
     result = run_tail_check(
@@ -294,7 +298,7 @@ def tail(n, pattern, k_size, p, trials, seed, xs, cap, out, fmt):
 @fmt_option
 def witness(pattern, k, n, p, delta, out, fmt):
     """Planted multipartite construction forcing many K-touching copies."""
-    pat = _load_pattern(pattern)
+    pat = _load(pattern, "--pattern")
     if not isinstance(pat, Graph):
         raise click.UsageError("the planted witness runs on graph patterns")
     _finish(run_planted_witness(pat, k, n, p, delta), out, fmt)
@@ -312,7 +316,7 @@ def witness(pattern, k, n, p, delta, out, fmt):
 @fmt_option
 def ramsey_search(pattern, k, big_cs, little_cs, trials, seed, budget, out, fmt):
     """Grid search for certified Ramsey-witness graphs via refined alteration."""
-    pat = _load_pattern(pattern)
+    pat = _load(pattern, "--pattern")
     if not isinstance(pat, Graph):
         raise click.UsageError("the witness search runs on graph patterns")
     result = run_ramsey_search(pat, k, list(big_cs), list(little_cs), trials, seed=seed, budget=budget)
@@ -356,8 +360,8 @@ def builder_game(pattern, family, k, big_c, little_c, delta, r, trials, k_sample
 @fmt_option
 def certify(host, pattern, k, budget, fmt):
     """Certify a graph as a Ramsey witness: pattern-free with alpha below k."""
-    g = load_structure(host)
-    pat = _load_pattern(pattern)
+    g = _load(host, "HOST")
+    pat = _load(pattern, "--pattern")
     if not isinstance(g, Graph) or not isinstance(pat, Graph):
         raise click.UsageError("certification runs on graphs")
     cert = ramsey_certificate(g, pat, k, budget=budget)

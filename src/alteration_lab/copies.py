@@ -5,12 +5,18 @@ its edge set (plus its vertex set, which only matters for patterns with
 isolated vertices).  The index built here carries the per-edge coverage
 map and the copy-multiplicity maxima that every downstream consumer needs:
 alteration, k-set statistics, and the edge-disjoint packing audit.
+
+One bitmask search, driven by a PatternPlan compiled once per pattern,
+both enumerates copies and answers whether a copy passes through an edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cliques import max_independent_set
@@ -117,72 +123,174 @@ class CopyIndex:
         )
 
 
-def _edge_tuples(structure: Graph | UniformHypergraph) -> tuple[EdgeTuple, ...]:
-    return tuple(structure.edges)
+# ---------------------------------------------------------------------
+# The matcher: one plan per pattern, one bitmask search
+# ---------------------------------------------------------------------
 
 
-def _vertex_degrees(n: int, edges: Iterable[EdgeTuple]) -> list[int]:
-    deg = [0] * n
-    for e in edges:
-        for v in e:
-            deg[v] += 1
-    return deg
+@dataclass(frozen=True)
+class PatternPlan:
+    """How to map one pattern into any host of its uniformity.
 
-
-def _search_plan(
-    n: int, edges: Sequence[EdgeTuple]
-) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-    """Vertex visit order plus, per position, the pattern edges completed there.
-
-    Each completed edge is encoded as the positions (in visit order) of its
-    other vertices, so the matcher can look the constraint up in the host's
-    completion index.  Vertices are chosen to complete edges as early as
-    possible; ties prefer high degree for stronger pruning.
+    Position i places pattern vertex order[i].  completes[i] lists, for
+    each pattern edge completed at position i, the sorted (r-1)-tuple of
+    earlier positions holding its other vertices; keys[i] reads those
+    images off the image list as an int (r = 2) or a tuple (r >= 3), the
+    host lookup key.  lower[i] lists earlier positions whose images must
+    be smaller: the symmetry-breaking conditions of Grochow and Kellis
+    (RECOMB 2007) from the stabilizer chain of Aut(H), which admit one map
+    per copy.  bound[i] is the fewest candidates position i can succeed
+    with.  edges reads each pattern edge's image off the image list.
     """
-    deg = _vertex_degrees(n, edges)
-    order: list[int] = []
-    pos_of: dict[int, int] = {}
-    plan: list[list[tuple[int, ...]]] = []
-    remaining_edges = list(edges)
-    while len(order) < n:
-        # Ascending scan keeps the lowest vertex on score ties.
-        best_v = -1
-        best_score = (-1, -1)
-        for v in range(n):
-            if v in pos_of:
-                continue
-            completes = sum(
-                1
-                for e in remaining_edges
-                if v in e and all(w in pos_of for w in e if w != v)
+
+    order: tuple[int, ...]
+    completes: tuple[tuple[tuple[int, ...], ...], ...]
+    keys: tuple[tuple[itemgetter, ...], ...]
+    lower: tuple[tuple[int, ...], ...]
+    bound: tuple[int, ...]
+    edges: tuple[itemgetter, ...]
+
+
+def _stop(images: list[int]) -> bool:
+    return True
+
+
+def _search(plan: PatternPlan, table, allowed: Sequence[int], leaf) -> bool:
+    """Map the plan's positions into a host depth first; True once leaf is.
+
+    table[key] masks the host vertices completing the key's vertices to a
+    host edge.  allowed[i] masks the host vertices position i may take; a
+    single bit pins it.  leaf gets the images of each complete map and
+    returns True to stop.
+    """
+    n = len(plan.order)
+    keys, lower, bound = plan.keys, plan.lower, plan.bound
+    images = [0] * n
+
+    def extend(pos: int, used: int) -> bool:
+        if pos == n:
+            return leaf(images)
+        cand = allowed[pos] & ~used
+        for key in keys[pos]:
+            cand &= table[key(images)]
+        for p in lower[pos]:
+            cand &= -(2 << images[p])  # the vertices above images[p]
+        count = cand.bit_count()
+        need = bound[pos]
+        while count >= need:
+            low = cand & -cand
+            images[pos] = low.bit_length() - 1
+            if extend(pos + 1, used | low):
+                return True
+            cand ^= low
+            count -= 1
+        return False
+
+    return extend(0, 0)
+
+
+def _completion_table(structure: Graph | UniformHypergraph):
+    """Graphs: the adjacency masks.  Hypergraphs: every ordering of each
+    (r-1)-subset of an edge, mapped to the mask of its completing vertices."""
+    if isinstance(structure, UniformHypergraph) and structure.r == 2:
+        structure = structure.to_graph()
+    if isinstance(structure, Graph):
+        return structure.adjacency_masks
+    table: defaultdict[EdgeTuple, int] = defaultdict(int)
+    for e in structure.edges:
+        for j, w in enumerate(e):
+            for key in permutations(e[:j] + e[j + 1 :]):
+                table[key] |= 1 << w
+    return table
+
+
+def _visit_order(
+    structure: Graph | UniformHypergraph, prefix: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The prefix, then greedily the vertex completing the most edges; ties
+    prefer high degree for stronger pruning, then the lower label."""
+    incident = [[e for e in structure.edges if v in e] for v in range(structure.n)]
+    order = list(prefix)
+    while len(order) < structure.n:
+        placed = set(order)
+
+        def score(v: int) -> tuple[int, int, int]:
+            done = sum(len(placed.intersection(e)) == len(e) - 1 for e in incident[v])
+            return done, len(incident[v]), -v
+
+        order.append(max(set(range(structure.n)) - placed, key=score))
+    return tuple(order)
+
+
+@lru_cache(maxsize=256)
+def _compile(
+    structure: Graph | UniformHypergraph, prefix: tuple[int, ...] = ()
+) -> PatternPlan:
+    """Plan a pattern's search with the prefix placed first.
+
+    The conditions start after the prefix, from the chain of automorphisms
+    fixing it.  Orbits come from the search run from the pattern into
+    itself: w is in the orbit of order[t] under the automorphisms fixing
+    order[:t] exactly when some map fixing order[:t] sends order[t] to w.
+    """
+    n = structure.n
+    order = _visit_order(structure, prefix)
+    pos = {v: i for i, v in enumerate(order)}
+    completes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in structure.edges:
+        ps = sorted(pos[w] for w in e)
+        completes[ps[-1]].append(tuple(ps[:-1]))
+    plain = PatternPlan(
+        order,
+        tuple(map(tuple, completes)),
+        tuple(tuple(itemgetter(*t) for t in c) for c in completes),
+        ((),) * n,
+        (1,) * n,
+        tuple(itemgetter(*(pos[w] for w in e)) for e in structure.edges),
+    )
+
+    table = _completion_table(structure)
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for t in range(len(prefix), n):
+        fixed = [1 << v for v in order[:t]]
+        for w in order[t + 1 :]:
+            if _search(plain, table, fixed + [1 << w] + [(1 << n) - 1] * (n - t - 1), _stop):
+                lower[pos[w]].append(t)
+
+    # Position i needs a candidate for itself and for each later position
+    # whose candidates lie within its own and whose image lies above its.
+    below: list[set[int]] = [set() for _ in range(n)]
+    for j in range(n):
+        for t in lower[j]:
+            below[j] |= below[t] | {t}
+    bound = tuple(
+        1 + sum(i in below[j] and set(completes[i]) <= set(completes[j]) for j in range(i + 1, n))
+        for i in range(n)
+    )
+    return replace(plain, lower=tuple(map(tuple, lower)), bound=bound)
+
+
+@lru_cache(maxsize=128)
+def _rooted_plans(pattern: Graph) -> tuple[PatternPlan, ...]:
+    """One plan per orbit of Aut(H) on oriented edges, pinning that edge first.
+
+    A copy through uv maps some oriented pattern edge onto (u, v), and an
+    automorphism moves that edge to its orbit's representative.  When an
+    automorphism swaps an edge's ends, one orientation covers both.
+    """
+    oriented = [e for a, b in pattern.edges for e in ((a, b), (b, a))]
+    free = [(1 << pattern.n) - 1] * (pattern.n - 2)
+    plans: list[PatternPlan] = []
+    reached: set[tuple[int, int]] = set()
+    for root in oriented:
+        if root not in reached:
+            plan = _compile(pattern, root)
+            plans.append(plan)
+            reached.update(
+                [(x, y) for x, y in oriented if (x, y) not in reached
+                 and _search(plan, pattern.adjacency_masks, [1 << x, 1 << y] + free, _stop)]
             )
-            score = (completes, deg[v])
-            if score > best_score:
-                best_v, best_score = v, score
-        pos = len(order)
-        pos_of[best_v] = pos
-        order.append(best_v)
-        completed_here: list[tuple[int, ...]] = []
-        still_open = []
-        for e in remaining_edges:
-            if all(w in pos_of for w in e):
-                others = tuple(sorted(pos_of[w] for w in e if w != best_v))
-                completed_here.append(others)
-            else:
-                still_open.append(e)
-        remaining_edges = still_open
-        plan.append(completed_here)
-    return order, plan
-
-
-def _completion_index(edges: Iterable[EdgeTuple]) -> dict[EdgeTuple, set[int]]:
-    """Map each (r-1)-subset of a host edge to the vertices completing it."""
-    idx: dict[EdgeTuple, set[int]] = {}
-    for e in edges:
-        for j in range(len(e)):
-            rest = e[:j] + e[j + 1 :]
-            idx.setdefault(rest, set()).add(e[j])
-    return idx
+    return tuple(plans)
 
 
 def enumerate_copies(
@@ -191,9 +299,9 @@ def enumerate_copies(
     """Enumerate every distinct pattern copy of the host.
 
     Host and pattern must have the same uniformity.  A pattern larger than
-    the host simply yields an empty index.  Copies are deduplicated by
-    (edge set, vertex set), which collapses the automorphism multiplicity
-    of the backtracking matcher.
+    the host simply yields an empty index.  The search visits each copy
+    exactly once: the pattern's symmetry-breaking conditions admit one of
+    the |Aut(H)| maps onto each copy.
     """
     if isinstance(pattern, Graph) != isinstance(host, Graph):
         raise TypeError("host and pattern must both be graphs or both hypergraphs")
@@ -204,55 +312,35 @@ def enumerate_copies(
     if pattern.num_edges == 0:
         raise ValueError("pattern must have at least one edge")
 
-    p_edges = _edge_tuples(pattern)
-    order, plan = _search_plan(pattern.n, p_edges)
-    p_deg = _vertex_degrees(pattern.n, p_edges)
-    h_edges = _edge_tuples(host)
-    h_deg = _vertex_degrees(host.n, h_edges)
-    completion = _completion_index(h_edges)
+    plan = _compile(pattern)
+    # Every ordering of each host edge names the edge, so a leaf needs no sort.
+    names = {key: e for e in host.edges for key in permutations(e)}
+    copies: list[Copy] = []
 
-    found: set[tuple[frozenset[EdgeTuple], frozenset[int]]] = set()
-    assignment: list[int] = [-1] * pattern.n
-    used: set[int] = set()
-    min_deg = [p_deg[v] for v in order]
-    all_hosts = list(range(host.n))
+    def keep(images: list[int]) -> bool:
+        edges = frozenset(names[get(images)] for get in plan.edges)
+        copies.append(Copy(vertices=frozenset(images), edges=edges))
+        return False
 
-    def place(pos: int) -> None:
-        if pos == pattern.n:
-            mapped_edges = frozenset(
-                tuple(sorted(assignment[_pos_lookup[w]] for w in e)) for e in p_edges
-            )
-            found.add((mapped_edges, frozenset(assignment)))
-            return
-        constraints = plan[pos]
-        if constraints:
-            cands: set[int] | None = None
-            for others in constraints:
-                key = tuple(sorted(assignment[j] for j in others))
-                bucket = completion.get(key)
-                if not bucket:
-                    return
-                cands = set(bucket) if cands is None else cands & bucket
-                if not cands:
-                    return
-            candidates: Iterable[int] = cands
-        else:
-            candidates = all_hosts
-        need = min_deg[pos]
-        for u in candidates:
-            if u in used or h_deg[u] < need:
-                continue
-            assignment[pos] = u
-            used.add(u)
-            place(pos + 1)
-            used.discard(u)
-        assignment[pos] = -1
-
-    _pos_lookup = {v: i for i, v in enumerate(order)}
-    place(0)
-
-    copies = [Copy(vertices=vs, edges=es) for es, vs in found]
+    _search(plan, _completion_table(host), [(1 << host.n) - 1] * pattern.n, keep)
     return CopyIndex(host, pattern, copies)
+
+
+def has_copy_through_edge(
+    masks: Sequence[int], pattern: Graph, u: int, v: int
+) -> bool:
+    """Does the graph given by adjacency masks, plus edge (u, v), hold a
+    pattern copy through (u, v)?
+
+    masks is read only and may or may not already contain the edge.  Used
+    by the greedy alteration scan and the game engines, where graphs grow
+    one edge at a time; with pattern K_k it is the blue-clique check.
+    """
+    table = list(masks)
+    table[u] |= 1 << v
+    table[v] |= 1 << u
+    allowed = [1 << u, 1 << v] + [(1 << len(masks)) - 1] * (pattern.n - 2)
+    return any(_search(plan, table, allowed, _stop) for plan in _rooted_plans(pattern))
 
 
 def _validate_k(host: Graph | UniformHypergraph, k_set: Iterable[int]) -> frozenset[int]:
@@ -383,67 +471,3 @@ def global_copy_stats(index: CopyIndex) -> GlobalCopyStats:
         for v in copy.vertices:
             per_vertex[v] += 1
     return GlobalCopyStats(total=len(index.copies), per_vertex=tuple(per_vertex))
-
-
-def has_copy_through_edge(
-    adjacency: Sequence[set[int]], pattern: Graph, u: int, v: int
-) -> bool:
-    """Does the working graph contain a pattern copy through edge (u, v)?
-
-    adjacency is a mutable-graph view (list of neighbor sets) that must
-    already contain the edge (u, v).  Used by the greedy alteration scan
-    and the game engines, where graphs grow one edge at a time.
-    """
-    p_adj = pattern.adjacency
-    n_host = len(adjacency)
-    for a, b in pattern.edges:
-        for x, y in ((u, v), (v, u)):
-            if len(adjacency[x]) < len(p_adj[a]) or len(adjacency[y]) < len(p_adj[b]):
-                continue
-            mapping = {a: x, b: y}
-            if _extend_mapping(adjacency, pattern, mapping, {x, y}, n_host):
-                return True
-    return False
-
-
-def _extend_mapping(
-    adjacency: Sequence[set[int]],
-    pattern: Graph,
-    mapping: dict[int, int],
-    used: set[int],
-    n_host: int,
-) -> bool:
-    if len(mapping) == pattern.n:
-        return True
-    p_adj = pattern.adjacency
-    # Prefer the unmapped pattern vertex with the most mapped neighbors.
-    best_v = -1
-    best_anchored = -1
-    for w in range(pattern.n):
-        if w in mapping:
-            continue
-        anchored = sum(1 for x in p_adj[w] if x in mapping)
-        if anchored > best_anchored:
-            best_anchored = anchored
-            best_v = w
-    w = best_v
-    anchors = [mapping[x] for x in p_adj[w] if x in mapping]
-    if anchors:
-        candidates: set[int] | list[int] = set(adjacency[anchors[0]])
-        for a in anchors[1:]:
-            candidates &= adjacency[a]
-    else:
-        candidates = list(range(n_host))
-    need = len(p_adj[w])
-    for c in candidates:
-        if c in used or len(adjacency[c]) < need:
-            continue
-        mapping[w] = c
-        used.add(c)
-        if _extend_mapping(adjacency, pattern, mapping, used, n_host):
-            del mapping[w]
-            used.discard(c)
-            return True
-        del mapping[w]
-        used.discard(c)
-    return False

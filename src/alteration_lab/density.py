@@ -8,8 +8,10 @@ when every proper subgraph has strictly smaller density.
 
 All values are exact rationals; the maximization runs over induced
 subgraphs of each vertex subset, which dominate because adding edges on a
-fixed vertex set can only raise the ratio.  Proper spanning subgraphs are
-checked explicitly for the balancedness verdict rather than assumed away.
+fixed vertex set can only raise the ratio.  The same argument settles the
+balancedness verdict for proper spanning subgraphs: with e >= 2 edges on
+n >= r+1 vertices, one has at most (e-2)/(n-r), strictly below the full
+vertex set's (e-1)/(n-r), so it never ties the maximum.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ def _report(pattern: Graph | UniformHypergraph, uniformity: int) -> DensityRepor
             witness = subset
 
     # Strict balancedness: no proper subgraph may attain the maximum.
-    # Induced subgraphs on proper vertex subsets are the only possible
-    # tying candidates; proper spanning subgraphs lose an edge at full
-    # vertex count and are re-checked here rather than assumed smaller.
+    # Only induced subgraphs on proper vertex subsets can tie it.  A proper
+    # spanning subgraph has at most e - 2 edges over n - r, which is less
+    # than the full vertex set's (e - 1)/(n - r) and so than the maximum.
     strict = True
     candidates = (
         _graph_candidates(pattern)
@@ -106,9 +108,6 @@ def _report(pattern: Graph | UniformHypergraph, uniformity: int) -> DensityRepor
         if len(subset) < pattern.n and num * best_den == best_num * den:
             strict = False
             break
-    if strict and pattern.n >= uniformity + 1 and pattern.num_edges >= 2:
-        if (pattern.num_edges - 2) * best_den >= best_num * (pattern.n - uniformity):
-            strict = False
 
     return DensityReport(
         value=Fraction(best_num, best_den),

@@ -253,6 +253,8 @@ def _adversarial_k(
     set is v; both it and the per-edge outside counts update incrementally,
     so growth costs O(k * (n + covered degree)) per K.
     """
+    if k > host.n:
+        raise ValueError(f"K of size {k} does not fit in a host on {host.n} vertices")
     by_vertex: dict[int, list[int]] = {}
     for i, e in enumerate(covered):
         for v in e:

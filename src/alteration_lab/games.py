@@ -9,6 +9,9 @@ Builder/painter game: Builder places an edge, Painter immediately colors
 it red or blue.  Builder wins on a red pattern copy or a blue clique of
 the target size; the engine detects both exactly through the newest edge.
 
+Engine graphs are adjacency bitmasks, and every rule check is one
+copies.has_copy_through_edge query; a blue clique is a copy of K_k.
+
 The threshold painter and the probability-p decider are the randomized
 strategies the experiments study; the other built-ins are adversaries to
 exercise them.  One game instance is strictly sequential; independent
@@ -19,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 from .copies import Copy, enumerate_copies, has_copy_through_edge
-from .graphs import Graph, canonical_pair
+from .graphs import Graph, canonical_pair, complete_graph
 from .randomness import EdgeLabelTable, RandomSource
 
 
@@ -81,7 +83,7 @@ class RpsState:
     def __init__(self, n: int, pattern: Graph):
         self.n = n
         self.pattern = pattern
-        self.adjacency: list[set[int]] = [set() for _ in range(n)]
+        self.masks: list[int] = [0] * n
         self.edges: set[tuple[int, int]] = set()
         self.proposed: set[tuple[int, int]] = set()
         self.turn = 0
@@ -94,12 +96,7 @@ class RpsState:
         pair = canonical_pair(u, v)
         if pair in self.proposed:
             return False
-        self.adjacency[u].add(v)
-        self.adjacency[v].add(u)
-        completes = has_copy_through_edge(self.adjacency, self.pattern, u, v)
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
-        return not completes
+        return not has_copy_through_edge(self.masks, self.pattern, u, v)
 
     def any_legal_pair(self) -> tuple[int, int] | None:
         for pair in combinations(range(self.n), 2):
@@ -112,8 +109,8 @@ class RpsState:
         self.proposed.add(pair)
         if accept:
             self.edges.add(pair)
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
+            self.masks[u] |= 1 << v
+            self.masks[v] |= 1 << u
         self.decisions.append(accept)
         self.turn += 1
 
@@ -361,9 +358,10 @@ class BuilderGameState:
         self.pool_cap = pool_cap
         self.degree_threshold = degree_threshold
         self.clique_target = clique_target
-        self.adjacency: list[set[int]] = [set() for _ in range(pool_cap)]
-        self.red_adjacency: list[set[int]] = [set() for _ in range(pool_cap)]
-        self.blue_adjacency: list[set[int]] = [set() for _ in range(pool_cap)]
+        self.clique = complete_graph(clique_target)
+        self.masks: list[int] = [0] * pool_cap
+        self.red_masks: list[int] = [0] * pool_cap
+        self.blue_masks: list[int] = [0] * pool_cap
         self.degree: list[int] = [0] * pool_cap
         # A threshold of zero admits every vertex from the start.
         self.high_degree: set[int] = (
@@ -372,17 +370,11 @@ class BuilderGameState:
         self.turn = 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return bool(self.masks[u] >> v & 1)
 
     def red_copy_if_colored(self, u: int, v: int, pattern: Graph) -> bool:
         """Would coloring (u, v) red complete a red pattern copy?"""
-        self.red_adjacency[u].add(v)
-        self.red_adjacency[v].add(u)
-        try:
-            return has_copy_through_edge(self.red_adjacency, pattern, u, v)
-        finally:
-            self.red_adjacency[u].discard(v)
-            self.red_adjacency[v].discard(u)
+        return has_copy_through_edge(self.red_masks, pattern, u, v)
 
 
 class ThresholdPainter:
@@ -514,29 +506,6 @@ class _PlannedBuilderSession:
         return None
 
 
-def _has_blue_clique_through(
-    state: BuilderGameState, u: int, v: int, size: int
-) -> bool:
-    """Exact test for a blue clique of the given size containing edge (u, v)."""
-    need = size - 2
-    if need < 0:
-        return False
-    common = state.blue_adjacency[u] & state.blue_adjacency[v]
-    return _clique_in(state.blue_adjacency, sorted(common), need)
-
-
-def _clique_in(adjacency: Sequence[set[int]], candidates: list[int], need: int) -> bool:
-    if need == 0:
-        return True
-    for i, w in enumerate(candidates):
-        if len(candidates) - i < need:
-            return False
-        rest = [x for x in candidates[i + 1 :] if x in adjacency[w]]
-        if _clique_in(adjacency, rest, need - 1):
-            return True
-    return False
-
-
 def run_online_ramsey(
     pattern: Graph,
     k: int,
@@ -580,27 +549,22 @@ def run_online_ramsey(
             raise RuleViolation(f"turn {state.turn}: invalid vertex pair {pair}")
         if state.has_edge(u, v):
             raise RuleViolation(f"turn {state.turn}: duplicate edge {pair}")
-        state.adjacency[u].add(v)
-        state.adjacency[v].add(u)
+        state.masks[u] |= 1 << v
+        state.masks[v] |= 1 << u
         before = psession.draws
         color = psession.color(state, u, v)
         if color not in ("red", "blue"):
             raise RuleViolation(f"turn {state.turn}: painter returned {color!r}")
         draws = psession.draws - before
-        side = state.red_adjacency if color == "red" else state.blue_adjacency
-        side[u].add(v)
-        side[v].add(u)
         turns.append(TurnRecord(canonical_pair(u, v), color, draws))
 
-        won = False
-        if color == "red" and has_copy_through_edge(
-            state.red_adjacency, pattern, u, v
-        ):
-            outcome = "red-pattern"
-            won = True
-        elif color == "blue" and _has_blue_clique_through(state, u, v, k):
-            outcome = "blue-clique"
-            won = True
+        side = state.red_masks if color == "red" else state.blue_masks
+        target = pattern if color == "red" else state.clique
+        won = has_copy_through_edge(side, target, u, v)
+        if won:
+            outcome = "red-pattern" if color == "red" else "blue-clique"
+        side[u] |= 1 << v
+        side[v] |= 1 << u
 
         state.degree[u] += 1
         state.degree[v] += 1

@@ -18,6 +18,32 @@ def canonical_pair(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _parse_text(text: str, kind: str, fields: str) -> tuple[list[int], list[list[int]]]:
+    """Header integers and edge rows of the line format, checked line by line.
+
+    fields names the header fields, such as 'n m r'; each of the m edge
+    lines must then hold r vertices (2 for graphs).  Errors name the
+    1-based line of the text.
+    """
+    rows = [(i, line.split()) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not rows:
+        raise ValueError(f"empty {kind} text")
+    header = rows[0][1]
+    if len(header) != len(fields.split()):
+        raise ValueError(f"{kind} header must be '{fields}', got {' '.join(header)}")
+    values = [int(x) for x in header]
+    m = values[1]
+    width = values[2] if len(values) == 3 else 2  # a hypergraph header ends in r
+    if len(rows) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+    for lineno, tokens in rows[1:]:
+        if len(tokens) != width:
+            raise ValueError(
+                f"line {lineno}: an edge line holds {width} vertices, got {' '.join(tokens)!r}"
+            )
+    return values, [[int(x) for x in tokens] for _, tokens in rows[1:]]
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -123,17 +149,8 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        if not rows:
-            raise ValueError("empty graph text")
-        header = rows[0]
-        if len(header) != 2:
-            raise ValueError(f"graph header must be 'n m', got {' '.join(header)}")
-        n, m = int(header[0]), int(header[1])
-        body = rows[1:]
-        if len(body) != m:
-            raise ValueError(f"expected {m} edge lines, found {len(body)}")
-        return cls(n, [(int(r[0]), int(r[1])) for r in body])
+        (n, _), edges = _parse_text(text, "graph", "n m")
+        return cls(n, edges)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "m": self.num_edges, "edges": [list(e) for e in self.edges]}
@@ -223,17 +240,8 @@ class UniformHypergraph:
 
     @classmethod
     def from_text(cls, text: str) -> "UniformHypergraph":
-        rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        if not rows:
-            raise ValueError("empty hypergraph text")
-        header = rows[0]
-        if len(header) != 3:
-            raise ValueError(f"hypergraph header must be 'n m r', got {' '.join(header)}")
-        n, m, r = int(header[0]), int(header[1]), int(header[2])
-        body = rows[1:]
-        if len(body) != m:
-            raise ValueError(f"expected {m} edge lines, found {len(body)}")
-        return cls(n, r, [tuple(int(x) for x in row) for row in body])
+        (n, _, r), edges = _parse_text(text, "hypergraph", "n m r")
+        return cls(n, r, edges)
 
     def to_json_obj(self) -> dict:
         return {
@@ -341,6 +349,8 @@ def load_structure(path_or_name: str, text: str | None = None) -> Graph | Unifor
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
     stripped = text.strip()
+    if not stripped:
+        raise ValueError(f"{path_or_name}: empty structure text")
     if stripped.startswith("{"):
         obj = json.loads(stripped)
         if "r" in obj:

@@ -155,6 +155,29 @@ def test_pattern_flag_accepts_files(tmp_path):
     assert out["mode"] == "rps"
 
 
+def test_malformed_files_are_usage_errors(tmp_path):
+    good, _ = write_host(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n0\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    runner = CliRunner()
+    for args in (
+        ("copies", bad, "--pattern", "K3"),
+        ("copies", good, "--pattern", bad),
+        ("alter", bad, "--pattern", "K3", "--method", "refined"),
+        ("alpha", empty),
+        ("certify", bad, "--pattern", "K3", "--k", 3),
+        ("density", "K9x"),
+    ):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2, (args, result.output)
+        assert "Invalid value" in result.output
+        assert "Traceback" not in result.output
+    result = runner.invoke(main, ["copies", str(bad), "--pattern", "K3"])
+    assert "line 2" in result.output
+
+
 def complete_pattern_text():
     return "3 3\n0 1\n0 2\n1 2\n"
 

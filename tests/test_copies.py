@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from alteration_lab.copies import (
 from alteration_lab.graphs import (
     Graph,
     complete_graph,
+    complete_multipartite,
     complete_uniform,
     cycle_graph,
     path_graph,
@@ -26,8 +28,14 @@ from oracles import brute_max_edge_disjoint, copy_count_oracle, hypergraph_copy_
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
+K5 = complete_graph(5)
 P3 = path_graph(3)
 C4 = cycle_graph(4)
+C5 = cycle_graph(5)
+K23 = complete_multipartite([2, 3])
+PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
+MATCHING = Graph(4, [(0, 1), (2, 3)])
 
 
 def test_identity_copy():
@@ -122,7 +130,7 @@ def test_exact_packing_matches_subset_enumeration():
 def test_oracle_agreement_random_hosts():
     rng = random.Random(7)
     src = RandomSource(7)
-    patterns = [K3, P3, C4, K4]
+    patterns = [K3, P3, C4, K4, K23, C5, PAW, STAR, MATCHING, K5]
     for trial in range(40):
         n = rng.randint(2, 8)
         host = sample_gnp(n, rng.uniform(0.2, 0.9), src.stream("host", trial))
@@ -277,15 +285,26 @@ def test_monotone_in_host_edges():
 
 def test_has_copy_through_edge_matches_enumeration():
     src = RandomSource(19)
-    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     for trial in range(15):
         host = sample_gnp(9, 0.5, src.stream("g", trial))
-        adjacency = [set(host.adjacency[v]) for v in range(host.n)]
-        for pattern in (K3, P3, C4, K4, paw):
+        adjacency = list(host.adjacency_masks)
+        for pattern in (K3, P3, C4, K4, PAW, K23, C5, STAR, MATCHING, K5):
             index = enumerate_copies(host, pattern)
             for u, v in host.edges:
                 expected = (u, v) in index.coverage
                 assert has_copy_through_edge(adjacency, pattern, u, v) == expected
+
+
+def test_has_copy_through_edge_clique_in_turan_graph_is_fast():
+    # T(22, 11) has clique number 11, so no K12 passes through any edge.
+    # Without symmetry breaking the rooted search tries every ordering of
+    # every clique in the common neighbourhood, a T(18, 9), before it can
+    # answer no.
+    host = complete_multipartite([2] * 11)
+    u, v = host.edges[0]
+    start = time.perf_counter()
+    assert not has_copy_through_edge(list(host.adjacency_masks), complete_graph(12), u, v)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hypergraph_k_set_stats_complete_host():

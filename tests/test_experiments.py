@@ -5,6 +5,7 @@ import pytest
 
 from alteration_lab.experiments import (
     InfeasibleError,
+    _adversarial_k,
     derive_parameters,
     derived_n_p,
     dumps,
@@ -87,6 +88,14 @@ def test_concentration_vacuous_when_n_below_k():
     assert result.summary["vacuous"]
     assert result.summary["freq_y_ok"] == 1.0
     assert not result.records
+
+
+def test_adversarial_k_rejects_k_above_n():
+    host = complete_graph(23)
+    covered = list(host.edges)
+    with pytest.raises(ValueError):
+        _adversarial_k(host, covered, covered[0], 40)
+    assert _adversarial_k(host, covered, covered[0], 23) == tuple(range(23))
 
 
 def test_concentration_family_dominates_members():

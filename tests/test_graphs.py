@@ -81,6 +81,19 @@ def test_hypergraph_text_round_trip(tmp_path):
     assert load_structure(str(path)) == h
 
 
+def test_malformed_text_names_the_line():
+    with pytest.raises(ValueError, match="line 2"):
+        Graph.from_text("2 1\n0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        Graph.from_text("3 2\n0 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="line 2"):
+        UniformHypergraph.from_text("4 1 3\n0 1\n")
+    with pytest.raises(ValueError, match="line 4"):
+        load_structure("g.txt", "\n3 1\n\n0 1 2\n")
+    with pytest.raises(ValueError, match="empty"):
+        load_structure("g.txt", "")
+
+
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         UniformHypergraph(4, 3, [(0, 1)])
