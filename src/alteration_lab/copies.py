@@ -2,22 +2,29 @@
 
 A copy is a subgraph of the host isomorphic to the pattern, identified by
 its edge set (plus its vertex set, which only matters for patterns with
-isolated vertices).  The index built here carries the per-edge coverage
-map and the copy-multiplicity maxima that every downstream consumer needs:
-alteration, k-set statistics, and the edge-disjoint packing audit.
+isolated vertices).
 
 One bitmask search, driven by a PatternPlan compiled once per pattern,
 both enumerates copies and answers whether a copy passes through an edge.
+Enumeration collects its maps in one flat int list for a CopyIndex.  The
+index keeps copies as int arrays over the host's edge numbering (vertex
+images and edge ids per copy) and derives from them, with numpy, the
+per-edge copy counts, the covered-edge mask and the copy-multiplicity
+maxima that alteration, k-set statistics and the packing audit need.
+Copy objects and the edge-keyed coverage map are built only when first
+read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cliques import max_independent_set
 from .graphs import Graph, UniformHypergraph
@@ -80,44 +87,102 @@ class GlobalCopyStats:
 
 
 class CopyIndex:
-    """All pattern copies of a host plus coverage and multiplicity statistics."""
+    """All pattern copies of a host as int arrays over the host's edge numbering.
+
+    Host edge i is host.edges[i]; the edges are sorted, so edge order is
+    id order.  Row c of images holds the host image of each pattern vertex
+    (copies x v_H), and row c of edge_ids the id of the host edge each
+    pattern edge maps to (copies x e_H).  Rows come in search order.
+    counts[i] is the number of copies through edge i and covered marks the
+    edges with at least one.
+
+    The views copies, coverage and covered_edges are built on first use:
+    copies holds Copy objects in canonical Copy.sort_key order, and the
+    copy ids in coverage index into it.
+
+    images may be flat or 2-D; each row must be a distinct copy, given as
+    the host image of pattern vertices 0..v_H-1 in turn.
+    """
 
     def __init__(
         self,
         host: Graph | UniformHypergraph,
         pattern: Graph | UniformHypergraph,
-        copies: Sequence[Copy],
+        images: Sequence[int] | np.ndarray,
     ):
         self.host = host
         self.pattern = pattern
-        self.copies: tuple[Copy, ...] = tuple(sorted(copies, key=Copy.sort_key))
+        r = 2 if isinstance(host, Graph) else host.r
+        m = host.num_edges
+        if max(host.n**r, m * m) >= 1 << 63:
+            raise OverflowError(f"edge codes of a host with n={host.n}, m={m} exceed int64")
+        self.images = np.asarray(images, dtype=np.int64).reshape(-1, pattern.n)
+        # Column-major: the gathers of k_set_stats stay column by column.
+        self.edge_array = np.asfortranarray(np.array(host.edges, dtype=np.int64).reshape(m, r))
+
+        def code(columns) -> np.ndarray:
+            """Sorted edge vertices read as base-n digits: sorted edges get increasing codes."""
+            return sum(col * host.n ** (r - 1 - j) for j, col in enumerate(columns))
+
+        # The images of each pattern edge's j-th vertex, sorted across the
+        # edge by min/max passes (r is small).
+        ends = [self.images[:, list(col)] for col in zip(*pattern.edges)]
+        for last in range(r - 1, 0, -1):
+            for j in range(last):
+                ends[j], ends[j + 1] = np.minimum(ends[j], ends[j + 1]), np.maximum(ends[j], ends[j + 1])
+        codes = code(ends)
+        host_codes = code(self.edge_array.T)
+        self.edge_ids = np.searchsorted(host_codes, codes)
+        # A code past the last edge finds the -1 sentinel, which no code equals.
+        if not np.array_equal(np.append(host_codes, -1)[self.edge_ids], codes):
+            raise ValueError("images map a pattern edge onto a non-edge of the host")
+        self.counts = np.bincount(self.edge_ids.ravel(), minlength=m)
+        self.covered = self.counts > 0
+        self.max_copies_per_edge = int(self.counts.max(initial=0))
+        # An edge pair f < g of one copy is the key f * m + g.
+        ordered = np.sort(self.edge_ids, axis=1)
+        first, second = np.triu_indices(pattern.num_edges, 1)
+        keys = ordered[:, first] * m + ordered[:, second]
+        self.max_copies_per_edge_pair = int(
+            np.unique(keys, return_counts=True)[1].max(initial=0)
+        )
+
+    @cached_property
+    def copies(self) -> tuple[Copy, ...]:
+        """Copy objects in Copy.sort_key order: sorted edges, then sorted vertices."""
+        rows = np.hstack([np.sort(self.edge_ids, axis=1), np.sort(self.images, axis=1)])
+        order = np.lexsort(rows.T[::-1])
+        edge = self.host.edges.__getitem__
+        # Pattern edge order fixes each frozenset's iteration order, and so the key
+        # order of coverage.
+        return tuple(
+            Copy(vertices=frozenset(vs), edges=frozenset(map(edge, es)))
+            for vs, es in zip(self.images[order].tolist(), self.edge_ids[order].tolist())
+        )
+
+    @cached_property
+    def coverage(self) -> dict[EdgeTuple, tuple[int, ...]]:
+        """Each covered edge mapped to the ids of the copies through it."""
         coverage: dict[EdgeTuple, list[int]] = {}
         for i, copy in enumerate(self.copies):
             for e in copy.edges:
                 coverage.setdefault(e, []).append(i)
-        self.coverage: dict[EdgeTuple, tuple[int, ...]] = {
-            e: tuple(ids) for e, ids in coverage.items()
-        }
-        self.covered_edges: frozenset[EdgeTuple] = frozenset(self.coverage)
-        self.max_copies_per_edge: int = (
-            max((len(ids) for ids in self.coverage.values()), default=0)
-        )
-        pair_counts: dict[tuple[EdgeTuple, EdgeTuple], int] = {}
-        for copy in self.copies:
-            for f, g in combinations(sorted(copy.edges), 2):
-                pair_counts[(f, g)] = pair_counts.get((f, g), 0) + 1
-        self.max_copies_per_edge_pair: int = max(pair_counts.values(), default=0)
+        return {e: tuple(ids) for e, ids in coverage.items()}
+
+    @cached_property
+    def covered_edges(self) -> frozenset[EdgeTuple]:
+        return frozenset(self.host.edges[i] for i in np.flatnonzero(self.covered).tolist())
 
     @property
     def pattern_edge_count(self) -> int:
         return self.pattern.num_edges
 
     def __len__(self) -> int:
-        return len(self.copies)
+        return len(self.images)
 
     def __repr__(self) -> str:
         return (
-            f"CopyIndex(copies={len(self.copies)}, "
+            f"CopyIndex(copies={len(self)}, "
             f"max_per_edge={self.max_copies_per_edge}, "
             f"max_per_edge_pair={self.max_copies_per_edge_pair})"
         )
@@ -140,7 +205,7 @@ class PatternPlan:
     be smaller: the symmetry-breaking conditions of Grochow and Kellis
     (RECOMB 2007) from the stabilizer chain of Aut(H), which admit one map
     per copy.  bound[i] is the fewest candidates position i can succeed
-    with.  edges reads each pattern edge's image off the image list.
+    with.
     """
 
     order: tuple[int, ...]
@@ -148,7 +213,6 @@ class PatternPlan:
     keys: tuple[tuple[itemgetter, ...], ...]
     lower: tuple[tuple[int, ...], ...]
     bound: tuple[int, ...]
-    edges: tuple[itemgetter, ...]
 
 
 def _stop(images: list[int]) -> bool:
@@ -246,7 +310,6 @@ def _compile(
         tuple(tuple(itemgetter(*t) for t in c) for c in completes),
         ((),) * n,
         (1,) * n,
-        tuple(itemgetter(*(pos[w] for w in e)) for e in structure.edges),
     )
 
     table = _completion_table(structure)
@@ -313,17 +376,16 @@ def enumerate_copies(
         raise ValueError("pattern must have at least one edge")
 
     plan = _compile(pattern)
-    # Every ordering of each host edge names the edge, so a leaf needs no sort.
-    names = {key: e for e in host.edges for key in permutations(e)}
-    copies: list[Copy] = []
+    flat: list[int] = []
 
     def keep(images: list[int]) -> bool:
-        edges = frozenset(names[get(images)] for get in plan.edges)
-        copies.append(Copy(vertices=frozenset(images), edges=edges))
+        flat.extend(images)
         return False
 
     _search(plan, _completion_table(host), [(1 << host.n) - 1] * pattern.n, keep)
-    return CopyIndex(host, pattern, copies)
+    # The search lists images by position; the index wants pattern vertex order.
+    by_position = np.array(flat, dtype=np.int64).reshape(-1, pattern.n)
+    return CopyIndex(host, pattern, by_position[:, np.argsort(plan.order)])
 
 
 def has_copy_through_edge(
@@ -361,20 +423,20 @@ def k_set_stats(
     the K-internal edges lying in a copy of any family member.
     """
     ks = _validate_k(index.host, k_set)
-    inside = index.host.edges_inside(ks)
-    covered = sum(1 for e in inside if e in index.covered_edges)
+    in_k = np.zeros(index.host.n, dtype=bool)
+    in_k[list(ks)] = True
+    inside = in_k[index.edge_array].all(axis=1)
     family_covered = None
     if family is not None:
         for member in family:
             if member.host != index.host:
                 raise ValueError("family indexes must share the host")
-        family_covered = sum(
-            1 for e in inside if any(e in m.covered_edges for m in family)
-        )
+        covered_by_any = np.logical_or.reduce([m.covered for m in family])
+        family_covered = int(np.count_nonzero(inside & covered_by_any))
     return KSetStats(
         vertices=tuple(sorted(ks)),
-        edges_inside=len(inside),
-        covered_inside=covered,
+        edges_inside=int(np.count_nonzero(inside)),
+        covered_inside=int(np.count_nonzero(inside & index.covered)),
         covered_by_family=family_covered,
     )
 
@@ -416,7 +478,8 @@ def packing_report(
             masks[a] |= 1 << b
             masks[b] |= 1 << a
     mis = max_independent_set(masks)
-    assert mis.exact
+    if not mis.exact:
+        raise RuntimeError("the unbudgeted packing search returned an inexact size")
     witness = tuple(two_vertex[j] for j in mis.members)
 
     two_vertex_set = set(two_vertex)
@@ -466,8 +529,5 @@ def global_copy_stats(index: CopyIndex) -> GlobalCopyStats:
     The identity total = sum(per_vertex) / v_H holds exactly because every
     copy has exactly v_H vertices.
     """
-    per_vertex = [0] * index.host.n
-    for copy in index.copies:
-        for v in copy.vertices:
-            per_vertex[v] += 1
-    return GlobalCopyStats(total=len(index.copies), per_vertex=tuple(per_vertex))
+    per_vertex = np.bincount(index.images.ravel(), minlength=index.host.n)
+    return GlobalCopyStats(total=len(index), per_vertex=tuple(per_vertex.tolist()))

@@ -166,5 +166,6 @@ def minimal_balanced_core(pattern: Graph) -> Graph:
     _, _, subset = candidates[0]
     core = pattern.induced(subset, relabel=True)
     core_report = two_density_report(core)
-    assert core_report.strictly_balanced and core_report.value == target
+    if not (core_report.strictly_balanced and core_report.value == target):
+        raise RuntimeError(f"the core found for density {target} is not strictly balanced at it")
     return core

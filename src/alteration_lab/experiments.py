@@ -27,6 +27,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .alteration import ramsey_certificate, refined_alteration, independence_number
 from .cliques import max_independent_set
 from .copies import (
@@ -86,8 +88,15 @@ class ExperimentParams:
     def patterns(self) -> tuple[Pattern, ...]:
         if self.family is not None:
             return self.family
-        assert self.pattern is not None
+        if self.pattern is None:
+            raise ValueError("parameters hold neither a pattern nor a family")
         return (self.pattern,)
+
+    def graph_pattern(self, experiment: str) -> Graph:
+        """The pattern of an experiment that runs on graphs only."""
+        if not isinstance(self.pattern, Graph):
+            raise ValueError(f"{experiment} run on graph patterns, got {type(self.pattern).__name__}")
+        return self.pattern
 
     def describe(self) -> dict:
         return {
@@ -245,45 +254,46 @@ def _sample_host(params: ExperimentParams, stream) -> Pattern:
 
 
 def _adversarial_k(
-    host: Pattern, covered: Sequence[tuple[int, ...]], seed_edge: tuple[int, ...], k: int
-) -> tuple[int, ...]:
-    """Grow K from a covered edge, greedily maximizing covered internal edges.
+    host: Pattern, covered: Sequence[Sequence[int]], seeds: Sequence[Sequence[int]], k: int
+) -> list[tuple[int, ...]]:
+    """Grow one K per seed edge, greedily maximizing covered internal edges.
 
-    score[v] counts covered edges whose only endpoint outside the chosen
-    set is v; both it and the per-edge outside counts update incrementally,
-    so growth costs O(k * (n + covered degree)) per K.
+    score[v] counts covered edges whose only vertex outside the chosen set
+    is v; each step adds the first unchosen vertex of highest score.  The
+    covered-edge incidence is built once for all seeds, and the scores
+    update incrementally from the covered edges at each added vertex.
     """
     if k > host.n:
         raise ValueError(f"K of size {k} does not fit in a host on {host.n} vertices")
-    by_vertex: dict[int, list[int]] = {}
-    for i, e in enumerate(covered):
-        for v in e:
-            by_vertex.setdefault(v, []).append(i)
-    outside = [len(e) for e in covered]
-    score = [0] * host.n
-    chosen: set[int] = set()
-
-    def add(u: int) -> None:
-        chosen.add(u)
-        for i in by_vertex.get(u, ()):
-            outside[i] -= 1
-            if outside[i] == 0:
-                score[u] -= 1  # the edge just went fully internal
-            elif outside[i] == 1:
-                for w in covered[i]:
-                    if w not in chosen:
-                        score[w] += 1
-                        break
-
-    for v in seed_edge:
-        add(v)
-    while len(chosen) < k:
-        best_v, best_score = -1, -1
-        for v in range(host.n):
-            if v not in chosen and score[v] > best_score:
-                best_v, best_score = v, score[v]
-        add(best_v)
-    return tuple(sorted(chosen))
+    r = _uniformity(host)
+    edges = np.asarray(covered, dtype=np.int64).reshape(-1, r)
+    # others[u] holds, per covered edge at u, the edge's other r - 1 vertices.
+    at = np.argsort(edges.ravel(), kind="stable")
+    starts = np.searchsorted(edges.ravel()[at], np.arange(host.n + 1))
+    row, col = np.divmod(at, r)
+    others = np.split(edges[row[:, None], (col[:, None] + np.arange(1, r)) % r], starts[1:-1])
+    # A chosen vertex's score drops below -len(edges), and each covered edge
+    # raises it at most once after that, so it stays below every unchosen
+    # score (all >= 0) and argmax finds the lowest-labelled best vertex.
+    sunk = -len(edges) - 1
+    k_sets = []
+    for seed in seeds:
+        score = np.zeros(host.n, dtype=np.int64)
+        chosen = np.zeros(host.n, dtype=bool)
+        for u in [*seed, *[None] * (k - len(seed))]:
+            if u is None:
+                u = int(score.argmax())
+            chosen[u] = True
+            score[u] = sunk
+            o = others[u]
+            if r == 2:
+                score[o[:, 0]] += 1
+            else:
+                inside = chosen[o]
+                last = inside.sum(axis=1) == r - 2  # edges now missing one vertex
+                np.add.at(score, o[last][~inside[last]], 1)
+        k_sets.append(tuple(np.flatnonzero(chosen).tolist()))
+    return k_sets
 
 
 def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) -> dict:
@@ -292,10 +302,6 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
     host = _sample_host(params, stream)
     indexes = [enumerate_copies(host, pat) for pat in params.patterns]
     family_mode = params.family is not None
-    union_covered = set()
-    for idx in indexes:
-        union_covered.update(idx.covered_edges)
-    covered_sorted = sorted(union_covered)
 
     n_adv = 0
     if k_policy == "adversarial":
@@ -305,16 +311,13 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
     elif k_policy != "uniform":
         raise ValueError(f"unknown K policy {k_policy!r}")
 
-    k_sets: list[tuple[int, ...]] = []
-    adv_seeds = sorted(
-        union_covered,
-        key=lambda e: (-sum(len(idx.coverage.get(e, ())) for idx in indexes), e),
-    )
-    for i in range(n_adv):
-        if not adv_seeds:
-            break
-        seed_edge = adv_seeds[i % len(adv_seeds)]
-        k_sets.append(_adversarial_k(host, covered_sorted, seed_edge, params.k))
+    # Adversarial seeds cycle through the covered edges, most copies first.
+    counts = np.sum([idx.counts for idx in indexes], axis=0)
+    covered = np.flatnonzero(counts)
+    by_count = covered[np.lexsort((covered, -counts[covered]))]
+    edge_array = indexes[0].edge_array
+    seeds = edge_array[by_count[np.arange(n_adv) % len(by_count)]] if len(by_count) else []
+    k_sets = _adversarial_k(host, edge_array[covered], seeds, params.k)
     while len(k_sets) < params.k_samples:
         pick = stream.choice(params.n, size=params.k, replace=False)
         k_sets.append(tuple(sorted(int(v) for v in pick)))
@@ -325,9 +328,14 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
     all_y_ok = True
     all_x_ok = True
     for ks in k_sets:
-        stats = k_set_stats(indexes[0], ks, family=indexes if family_mode else None)
-        member_y = [k_set_stats(idx, ks).covered_inside for idx in indexes]
-        y_used = stats.covered_by_family if family_mode else stats.covered_inside
+        if family_mode:
+            stats = k_set_stats(indexes[0], ks, family=indexes)
+            member_y = [k_set_stats(idx, ks).covered_inside for idx in indexes]
+            y_used = stats.covered_by_family
+        else:
+            stats = k_set_stats(indexes[0], ks)
+            member_y = [stats.covered_inside]
+            y_used = stats.covered_inside
         y_ok = y_used <= y_threshold
         x_ok = stats.edges_inside >= x_threshold
         all_y_ok &= y_ok
@@ -405,8 +413,7 @@ def run_concentration_experiment(
 def _copy_count_trial(params: ExperimentParams, trial: int) -> dict:
     stream = RandomSource(params.seed).stream("copy-count", trial)
     host = sample_gnp(params.n, params.p, stream)
-    pattern = params.pattern
-    assert isinstance(pattern, Graph)
+    pattern = params.graph_pattern("copy-count experiments")
     stats = global_copy_stats(enumerate_copies(host, pattern))
     identity_ok = stats.total * pattern.n == sum(stats.per_vertex)
     if not identity_ok:
@@ -436,9 +443,7 @@ def run_copy_count_experiment(
     the global statement is out of regime).  Each trial verifies the exact
     identity total = sum(per-vertex)/v_H and the two delta thresholds.
     """
-    pattern = params.pattern
-    if not isinstance(pattern, Graph):
-        raise ValueError("copy-count concentration runs on graph patterns")
+    pattern = params.graph_pattern("copy-count experiments")
     if density_report(pattern).value <= 1:
         raise ValueError("pattern 2-density must exceed 1 for this experiment")
     _guard_size(params)
@@ -702,8 +707,7 @@ def run_ramsey_search(
 
 
 def _rps_trial(params: ExperimentParams, proposer_name: str, budget: int, trial: int) -> dict:
-    pattern = params.pattern
-    assert isinstance(pattern, Graph)
+    pattern = params.graph_pattern("game experiments")
     proposer = DenseFirstProposer() if proposer_name == "dense" else RandomLegalProposer()
     transcript = run_rps(
         params.n,
@@ -735,8 +739,7 @@ def _builder_trial(
     core_n: int,
     trial: int,
 ) -> dict:
-    pattern = params.pattern
-    assert isinstance(pattern, Graph)
+    pattern = params.graph_pattern("game experiments")
     core = Graph(core_n, core_edges)
     if builder_name == "pump":
         builder = PumpBuilder(params.k)
@@ -785,9 +788,7 @@ def run_game_experiment(
     painter's survival frequency through the turn budget, where the
     budget defaults to floor(L*n/2) with L = floor((k-1)/4).
     """
-    pattern = params.pattern
-    if not isinstance(pattern, Graph):
-        raise ValueError("game experiments run on graph patterns")
+    pattern = params.graph_pattern("game experiments")
     if mode == "rps":
         records = map_trials(
             partial(_rps_trial, params, proposer, alpha_budget),

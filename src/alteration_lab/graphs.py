@@ -28,10 +28,17 @@ def _parse_text(text: str, kind: str, fields: str) -> tuple[list[int], list[list
     rows = [(i, line.split()) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not rows:
         raise ValueError(f"empty {kind} text")
+
+    def ints(lineno: int, tokens: list[str]) -> list[int]:
+        try:
+            return [int(x) for x in tokens]
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integers, got {' '.join(tokens)!r}") from None
+
     header = rows[0][1]
     if len(header) != len(fields.split()):
         raise ValueError(f"{kind} header must be '{fields}', got {' '.join(header)}")
-    values = [int(x) for x in header]
+    values = ints(*rows[0])
     m = values[1]
     width = values[2] if len(values) == 3 else 2  # a hypergraph header ends in r
     if len(rows) - 1 != m:
@@ -41,7 +48,17 @@ def _parse_text(text: str, kind: str, fields: str) -> tuple[list[int], list[list
             raise ValueError(
                 f"line {lineno}: an edge line holds {width} vertices, got {' '.join(tokens)!r}"
             )
-    return values, [[int(x) for x in tokens] for _, tokens in rows[1:]]
+    return values, [ints(lineno, tokens) for lineno, tokens in rows[1:]]
+
+
+def _json_fields(obj, kind: str, keys: str) -> list:
+    """The named fields of a JSON object form, or ValueError naming a missing one."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} JSON must be an object, got {type(obj).__name__}")
+    for key in keys.split():
+        if key not in obj:
+            raise ValueError(f"{kind} JSON object has no {key!r} key")
+    return [obj[key] for key in keys.split()]
 
 
 class Graph:
@@ -157,7 +174,8 @@ class Graph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
-        g = cls(obj["n"], [tuple(e) for e in obj["edges"]])
+        n, edges = _json_fields(obj, "graph", "n edges")
+        g = cls(n, [tuple(e) for e in edges])
         if "m" in obj and obj["m"] != g.num_edges:
             raise ValueError("edge count field disagrees with edge list")
         return g
@@ -253,7 +271,8 @@ class UniformHypergraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "UniformHypergraph":
-        h = cls(obj["n"], obj["r"], [tuple(e) for e in obj["edges"]])
+        n, r, edges = _json_fields(obj, "hypergraph", "n r edges")
+        h = cls(n, r, [tuple(e) for e in edges])
         if "m" in obj and obj["m"] != h.num_edges:
             raise ValueError("edge count field disagrees with edge list")
         return h

@@ -7,6 +7,7 @@ the production paths they audit.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -104,6 +105,77 @@ def hypergraph_copy_oracle(host, pattern) -> int:
     aut = hypergraph_injection_count(pattern, pattern)
     assert injections % aut == 0
     return injections // aut
+
+
+def brute_copies(host, pattern) -> list[tuple[frozenset, frozenset]]:
+    """(vertex set, edge set) of every pattern copy, in canonical copy order:
+    sorted edges, then sorted vertices.  Graphs and hypergraphs alike."""
+    found = set()
+    for image in permutations(range(host.n), pattern.n):
+        edges = frozenset(tuple(sorted(image[v] for v in e)) for e in pattern.edges)
+        if edges <= host.edge_set:
+            found.add((frozenset(image), edges))
+    return sorted(found, key=lambda c: (tuple(sorted(c[1])), tuple(sorted(c[0]))))
+
+
+def brute_copy_stats(n: int, copies) -> tuple[dict, int, int, tuple[int, ...]]:
+    """Coverage, the per-edge and per-edge-pair copy maxima and the
+    per-vertex copy counts, recounted from (vertex set, edge set) copies."""
+    coverage: dict = {}
+    for i, (_, edges) in enumerate(copies):
+        for e in edges:
+            coverage.setdefault(e, []).append(i)
+    pairs = Counter(pair for _, edges in copies for pair in combinations(sorted(edges), 2))
+    per_vertex = tuple(sum(v in vertices for vertices, _ in copies) for v in range(n))
+    return (
+        {e: tuple(ids) for e, ids in coverage.items()},
+        max((len(ids) for ids in coverage.values()), default=0),
+        max(pairs.values(), default=0),
+        per_vertex,
+    )
+
+
+def brute_k_set_counts(host, covered_sets, k_set) -> tuple[int, list[int], int]:
+    """Edges inside K, covered edges inside K per covered-edge set, and
+    edges inside K lying in any of the sets."""
+    ks = set(k_set)
+    inside = [e for e in host.edges if ks.issuperset(e)]
+    per_set = [sum(e in covered for e in inside) for covered in covered_sets]
+    return len(inside), per_set, sum(any(e in c for c in covered_sets) for e in inside)
+
+
+def greedy_adversarial_k(host, covered, seed_edge, k: int) -> tuple[int, ...]:
+    """K grown from a covered edge by adding, while |K| < k, the lowest
+    unchosen vertex completing the most covered edges into K."""
+    by_vertex: dict[int, list[int]] = {}
+    for i, e in enumerate(covered):
+        for v in e:
+            by_vertex.setdefault(v, []).append(i)
+    outside = [len(e) for e in covered]
+    score = [0] * host.n
+    chosen: set[int] = set()
+
+    def add(u: int) -> None:
+        chosen.add(u)
+        for i in by_vertex.get(u, ()):
+            outside[i] -= 1
+            if outside[i] == 0:
+                score[u] -= 1  # the edge just went fully internal
+            elif outside[i] == 1:
+                for w in covered[i]:
+                    if w not in chosen:
+                        score[w] += 1
+                        break
+
+    for v in seed_edge:
+        add(v)
+    while len(chosen) < k:
+        best_v, best_score = -1, -1
+        for v in range(host.n):
+            if v not in chosen and score[v] > best_score:
+                best_v, best_score = v, score[v]
+        add(best_v)
+    return tuple(sorted(chosen))
 
 
 def brute_max_edge_disjoint(edge_sets) -> int:

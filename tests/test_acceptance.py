@@ -292,14 +292,17 @@ def test_c10_paired_trend_checks():
         )
         return run_concentration_experiment(params)
 
+    # The (C=4, c=0.4) point belongs to both checks and is computed once.
+    shared = point(4, 0.4)
+
     # Covered-edge threshold frequency must not decrease as c is halved
     # (paired seeds: identical per-trial substreams at every point).
-    y_chain = [point(4, 0.8), point(4, 0.4), point(4, 0.2)]
+    y_chain = [point(4, 0.8), shared, point(4, 0.2)]
     y_freqs = [r.summary["freq_y_ok"] for r in y_chain]
     y_ok = all(b >= a for a, b in zip(y_freqs, y_freqs[1:]))
 
     # Edge-count threshold frequency must not decrease as C is doubled.
-    x_pair = [point(4, 0.4), point(8, 0.4)]
+    x_pair = [shared, point(8, 0.4)]
     x_freqs = [r.summary["freq_x_ok"] for r in x_pair]
     x_ok = x_freqs[1] >= x_freqs[0]
 

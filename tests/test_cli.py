@@ -178,6 +178,26 @@ def test_malformed_files_are_usage_errors(tmp_path):
     assert "line 2" in result.output
 
 
+def test_json_missing_keys_are_usage_errors(tmp_path):
+    runner = CliRunner()
+    for name, text, key in (
+        ("no_edges.json", '{"n": 3}', "edges"),
+        ("no_n.json", '{"edges": [[0, 1]]}', "n"),
+        ("no_edges_r3.json", '{"n": 4, "r": 3}', "edges"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["copies", str(path), "--pattern", "K3"])
+        assert result.exit_code == 2, result.output
+        assert f"'{key}'" in result.output
+        assert "Traceback" not in result.output
+    bad = tmp_path / "token.txt"
+    bad.write_text("3 1\n0 x\n")
+    result = runner.invoke(main, ["copies", str(bad), "--pattern", "K3"])
+    assert result.exit_code == 2, result.output
+    assert "line 2" in result.output
+
+
 def complete_pattern_text():
     return "3 3\n0 1\n0 2\n1 2\n"
 

@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from alteration_lab.copies import (
+    CopyIndex,
+    GlobalCopyStats,
     PackingInfeasibleError,
     enumerate_copies,
     global_copy_stats,
@@ -14,6 +16,7 @@ from alteration_lab.copies import (
 )
 from alteration_lab.graphs import (
     Graph,
+    UniformHypergraph,
     complete_graph,
     complete_multipartite,
     complete_uniform,
@@ -21,9 +24,16 @@ from alteration_lab.graphs import (
     path_graph,
     tight_path,
 )
-from alteration_lab.randomness import RandomSource, sample_gnp
+from alteration_lab.randomness import RandomSource, sample_gnp, sample_uniform_hypergraph
 
-from oracles import brute_max_edge_disjoint, copy_count_oracle, hypergraph_copy_oracle
+from oracles import (
+    brute_copies,
+    brute_copy_stats,
+    brute_k_set_counts,
+    brute_max_edge_disjoint,
+    copy_count_oracle,
+    hypergraph_copy_oracle,
+)
 
 
 K3 = complete_graph(3)
@@ -316,3 +326,62 @@ def test_hypergraph_k_set_stats_complete_host():
     assert stats.edges_inside == comb(5, 3)
     # every triple inside a 5-set completes to a 4-clique within the host
     assert stats.covered_inside == comb(5, 3)
+
+
+def check_index_against_brute_force(host, patterns, rng):
+    """Every array-backed statistic of each pattern's index against a
+    recount from brute-force copy sets, then k_set_stats on random K."""
+    indexes, covered_sets = [], []
+    for pattern in patterns:
+        index = enumerate_copies(host, pattern)
+        expected = brute_copies(host, pattern)
+        assert [(c.vertices, c.edges) for c in index.copies] == expected
+        coverage, per_edge, per_pair, per_vertex = brute_copy_stats(host.n, expected)
+        assert index.coverage == coverage
+        assert index.covered_edges == frozenset(coverage)
+        assert (index.max_copies_per_edge, index.max_copies_per_edge_pair) == (per_edge, per_pair)
+        assert global_copy_stats(index) == GlobalCopyStats(len(expected), per_vertex)
+        indexes.append(index)
+        covered_sets.append(frozenset(coverage))
+    for _ in range(4):
+        ks = rng.sample(range(host.n), rng.randint(0, host.n))
+        inside, per_set, union = brute_k_set_counts(host, covered_sets, ks)
+        for index, covered in zip(indexes, per_set):
+            stats = k_set_stats(index, ks)
+            assert (stats.edges_inside, stats.covered_inside, stats.covered_by_family) == (
+                inside, covered, None
+            )
+        stats = k_set_stats(indexes[0], ks, family=indexes)
+        assert (stats.edges_inside, stats.covered_inside, stats.covered_by_family) == (
+            inside, per_set[0], union
+        )
+
+
+def test_array_index_matches_brute_force_on_graphs():
+    rng = random.Random(31)
+    src = RandomSource(31)
+    for trial in range(10):
+        host = sample_gnp(rng.randint(4, 12), rng.uniform(0.3, 0.8), src.stream("arrays", trial))
+        check_index_against_brute_force(host, (K3, C4, K4, PAW, MATCHING), rng)
+
+
+def test_array_index_matches_brute_force_on_hypergraphs():
+    rng = random.Random(33)
+    src = RandomSource(33)
+    patterns = (complete_uniform(4, 3), tight_path(2, 3), complete_uniform(3, 3), tight_path(3, 3))
+    for trial in range(8):
+        host = sample_uniform_hypergraph(rng.randint(4, 8), 3, rng.uniform(0.3, 0.7), src.stream("arrays", trial))
+        check_index_against_brute_force(host, patterns, rng)
+
+
+def test_copy_index_rejects_bad_images():
+    host = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert len(CopyIndex(host, K3, [2, 0, 1])) == 1
+    with pytest.raises(ValueError, match="non-edge"):
+        CopyIndex(host, K3, [0, 1, 3])
+    with pytest.raises(ValueError, match="non-edge"):
+        CopyIndex(Graph(4), K3, [0, 1, 2])
+    # Codes of 3-sets on 2**21 vertices would need 63 bits.
+    huge = UniformHypergraph(2**21, 3, [(0, 1, 2)])
+    with pytest.raises(OverflowError):
+        CopyIndex(huge, complete_uniform(3, 3), [0, 1, 2])

@@ -1,11 +1,18 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from alteration_lab import copies, experiments
+from alteration_lab.copies import enumerate_copies
 from alteration_lab.experiments import (
     InfeasibleError,
     _adversarial_k,
+    _builder_trial,
+    _copy_count_trial,
+    _rps_trial,
     derive_parameters,
     derived_n_p,
     dumps,
@@ -22,6 +29,9 @@ from alteration_lab.graphs import (
     complete_uniform,
     cycle_graph,
 )
+from alteration_lab.randomness import RandomSource, sample_gnp, sample_uniform_hypergraph
+
+from oracles import greedy_adversarial_k
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -94,8 +104,67 @@ def test_adversarial_k_rejects_k_above_n():
     host = complete_graph(23)
     covered = list(host.edges)
     with pytest.raises(ValueError):
-        _adversarial_k(host, covered, covered[0], 40)
-    assert _adversarial_k(host, covered, covered[0], 23) == tuple(range(23))
+        _adversarial_k(host, covered, [covered[0]], 40)
+    assert _adversarial_k(host, covered, [covered[0]], 23) == [tuple(range(23))]
+
+
+def test_adversarial_k_matches_greedy_oracle():
+    rng = random.Random(37)
+    src = RandomSource(37)
+    cases = []
+    for t in range(8):
+        host = sample_gnp(rng.randint(6, 14), rng.uniform(0.3, 0.8), src.stream("adv", t))
+        cases.append((host, sorted(enumerate_copies(host, K3).covered_edges)))
+    for t in range(4):
+        host = sample_uniform_hypergraph(9, 3, 0.4, src.stream("adv3", t))
+        cases.append((host, sorted(enumerate_copies(host, complete_uniform(4, 3)).covered_edges)))
+        # Sparse, every edge covered: one step often completes several
+        # edges missing the same vertex.
+        host = sample_uniform_hypergraph(10, 3, 0.3, src.stream("adv3-sparse", t))
+        cases.append((host, list(host.edges)))
+    # Symmetric hosts, every edge covered: ties at almost every step.
+    for host in (complete_graph(7), cycle_graph(9), complete_uniform(7, 3)):
+        cases.append((host, list(host.edges)))
+    grown = 0
+    for host, covered in cases:
+        for k in (2, host.n // 2, host.n):
+            expected = [greedy_adversarial_k(host, covered, e, k) for e in covered]
+            assert _adversarial_k(host, covered, covered, k) == expected
+            grown += len(expected)
+    assert grown >= 300
+
+
+def test_single_pattern_trial_builds_no_copies(monkeypatch):
+    def no_copy(**fields):
+        pytest.fail("a Copy object was built")
+
+    calls = []
+    counted = experiments.k_set_stats
+    monkeypatch.setattr(copies, "Copy", no_copy)
+    monkeypatch.setattr(
+        experiments, "k_set_stats", lambda *args, **kw: calls.append(1) or counted(*args, **kw)
+    )
+    params = derive_parameters(K3, k=6, big_c=0.5, little_c=8, trials=2, k_samples=5, seed=6)
+    run_concentration_experiment(params)
+    assert len(calls) == params.trials * params.k_samples
+
+
+def test_graph_only_experiments_reject_hypergraph_patterns():
+    params = derive_parameters(
+        complete_uniform(4, 3), k=6, big_c=1, little_c=1, trials=1, n_override=8, p_override=0.3
+    )
+    core = complete_graph(3)
+    for call in (
+        lambda: _copy_count_trial(params, 0),
+        lambda: _rps_trial(params, "random", 1000, 0),
+        lambda: _builder_trial(params, "pump", 10, 10, core.edges, core.n, 0),
+        lambda: run_copy_count_experiment(params),
+        lambda: run_game_experiment("rps", params),
+    ):
+        with pytest.raises(ValueError, match="graph patterns"):
+            call()
+    with pytest.raises(ValueError, match="neither a pattern nor a family"):
+        replace(params, pattern=None).patterns
 
 
 def test_concentration_family_dominates_members():

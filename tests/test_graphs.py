@@ -92,6 +92,31 @@ def test_malformed_text_names_the_line():
         load_structure("g.txt", "\n3 1\n\n0 1 2\n")
     with pytest.raises(ValueError, match="empty"):
         load_structure("g.txt", "")
+    with pytest.raises(ValueError, match="line 2"):
+        Graph.from_text("3 1\n0 x\n")
+    with pytest.raises(ValueError, match="line 1"):
+        Graph.from_text("3 one\n0 1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        UniformHypergraph.from_text("5 2 3\n0 1 2\n1 2 2.5\n")
+
+
+def test_json_missing_keys_are_named():
+    for text, key in (
+        ('{"n": 3}', "edges"),
+        ('{"edges": [[0, 1]]}', "n"),
+        ('{"n": 4, "r": 3}', "edges"),
+    ):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_structure("g.json", text)
+    with pytest.raises(ValueError, match="'r'"):
+        UniformHypergraph.from_json_obj({"n": 4, "edges": [[0, 1, 2]]})
+    for form in ([3, [[0, 1]]], "3 1", None):
+        with pytest.raises(ValueError, match="must be an object"):
+            Graph.from_json_obj(form)
+        with pytest.raises(ValueError, match="must be an object"):
+            UniformHypergraph.from_json_obj(form)
+    with pytest.raises(ValueError, match="must be an object"):
+        Graph.from_json("[3, []]")
 
 
 def test_hypergraph_validation():
