@@ -8,7 +8,6 @@ from .alteration import (
     disjoint_collection_alteration,
     greedy_alteration,
     independence_number,
-    krivelevich_alteration,
     ramsey_certificate,
     refined_alteration,
 )

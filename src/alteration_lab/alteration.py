@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cliques import max_independent_set
-from .copies import Copy, enumerate_copies, has_copy_through_edge
+from .copies import Copy, _greedy_pack, enumerate_copies, has_copy_through_edge
 from .graphs import Graph, canonical_pair
 
 
@@ -105,13 +105,8 @@ def disjoint_collection_alteration(graph: Graph, pattern: Graph) -> AlterationRe
     the collection and hence added to it.
     """
     index = enumerate_copies(graph, pattern)
-    chosen: list[Copy] = []
-    used: set[tuple[int, ...]] = set()
-    for copy in index.copies:
-        if used.isdisjoint(copy.edges):
-            chosen.append(copy)
-            used.update(copy.edges)
-    removed = frozenset(used)  # type: ignore[arg-type]
+    chosen = [index.copies[i] for i in _greedy_pack(index.edge_ids[index.order].tolist())]
+    removed = frozenset(e for copy in chosen for e in copy.edges)
     return AlterationResult(
         input_graph=graph,
         output_graph=graph.without_edges(removed),
@@ -119,10 +114,6 @@ def disjoint_collection_alteration(graph: Graph, pattern: Graph) -> AlterationRe
         method="disjoint-collection",
         collection=tuple(chosen),
     )
-
-
-# The literature name for the disjoint-collection variant.
-krivelevich_alteration = disjoint_collection_alteration
 
 
 def independence_number(graph: Graph, budget: int = 10_000_000) -> IndependenceResult:
@@ -147,7 +138,7 @@ def ramsey_certificate(
     passing both checks shows the (pattern, k) Ramsey number exceeds n.
     """
     index = enumerate_copies(graph, pattern)
-    if index.copies:
+    if len(index):
         return RamseyCertificate(
             holds=False,
             status="copy-found",

@@ -151,7 +151,7 @@ def copies(host: str, pattern: str, k_sets: tuple[str, ...], cap: int, fmt: str)
 @main.command()
 @click.argument("host", type=click.Path(exists=True))
 @click.option("--pattern", required=True)
-@click.option("--method", type=click.Choice(["refined", "greedy", "krivelevich"]), required=True)
+@click.option("--method", type=click.Choice(["refined", "greedy", "disjoint-collection"]), required=True)
 @click.option("--order", type=click.Choice(["lex", "random"]), default="lex", show_default=True, help="Edge scan order for the greedy method.")
 @seed_option
 @click.option("--out", "out_file", type=click.Path(), default=None, help="Write the altered graph here instead of stdout.")
@@ -165,7 +165,7 @@ def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file:
         raise click.UsageError("alterations take graph patterns")
     if method == "refined":
         result = refined_alteration(g, pat)
-    elif method == "krivelevich":
+    elif method == "disjoint-collection":
         result = disjoint_collection_alteration(g, pat)
     else:
         edge_order = list(g.edges)
@@ -179,7 +179,7 @@ def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file:
     if out_file:
         Path(out_file).write_text(text, encoding="utf-8")
         click.echo(
-            dumps({"method": method, "removed": len(result.removed), "kept": result.output_graph.num_edges})
+            dumps({"method": result.method, "removed": len(result.removed), "kept": result.output_graph.num_edges})
         )
     else:
         click.echo(text, nl=False)

@@ -13,15 +13,22 @@ per-edge copy counts, the covered-edge mask and the copy-multiplicity
 maxima that alteration, k-set statistics and the packing audit need.
 Copy objects and the edge-keyed coverage map are built only when first
 read.
+
+This module alone decides what an edge-disjoint packing of copies is
+made of: the packing members for a vertex set K (copies with an edge
+inside K that share exactly two vertices with K), the shared-edge
+conflict relation, and the greedy in-order packing, all over rows of
+edge ids in canonical copy order.  The packing audit, the tail-bound
+driver in experiments and the disjoint-collection alteration use them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,9 +103,10 @@ class CopyIndex:
     counts[i] is the number of copies through edge i and covered marks the
     edges with at least one.
 
-    The views copies, coverage and covered_edges are built on first use:
-    copies holds Copy objects in canonical Copy.sort_key order, and the
-    copy ids in coverage index into it.
+    The views order, copies, coverage and covered_edges are built on
+    first use: copies holds Copy objects in canonical Copy.sort_key order,
+    order[i] is the row of canonical copy id i, and the copy ids in
+    coverage and in packing reports index into copies.
 
     images may be flat or 2-D; each row must be a distinct copy, given as
     the host image of pattern vertices 0..v_H-1 in turn.
@@ -148,16 +156,21 @@ class CopyIndex:
         )
 
     @cached_property
-    def copies(self) -> tuple[Copy, ...]:
-        """Copy objects in Copy.sort_key order: sorted edges, then sorted vertices."""
+    def order(self) -> np.ndarray:
+        """Row numbers in Copy.sort_key order (sorted edges, then sorted
+        vertices): canonical copy id i is row order[i]."""
         rows = np.hstack([np.sort(self.edge_ids, axis=1), np.sort(self.images, axis=1)])
-        order = np.lexsort(rows.T[::-1])
+        return np.lexsort(rows.T[::-1])
+
+    @cached_property
+    def copies(self) -> tuple[Copy, ...]:
+        """Copy objects in canonical Copy.sort_key order."""
         edge = self.host.edges.__getitem__
         # Pattern edge order fixes each frozenset's iteration order, and so the key
         # order of coverage.
         return tuple(
             Copy(vertices=frozenset(vs), edges=frozenset(map(edge, es)))
-            for vs, es in zip(self.images[order].tolist(), self.edge_ids[order].tolist())
+            for vs, es in zip(self.images[self.order].tolist(), self.edge_ids[self.order].tolist())
         )
 
     @cached_property
@@ -412,6 +425,13 @@ def _validate_k(host: Graph | UniformHypergraph, k_set: Iterable[int]) -> frozen
     return ks
 
 
+def _k_mask(n: int, ks: frozenset[int]) -> np.ndarray:
+    """The host vertices 0..n-1 that lie in K, as a boolean mask."""
+    in_k = np.zeros(n, dtype=bool)
+    in_k[[v for v in ks if 0 <= v < n]] = True
+    return in_k
+
+
 def k_set_stats(
     index: CopyIndex,
     k_set: Iterable[int],
@@ -423,9 +443,7 @@ def k_set_stats(
     the K-internal edges lying in a copy of any family member.
     """
     ks = _validate_k(index.host, k_set)
-    in_k = np.zeros(index.host.n, dtype=bool)
-    in_k[list(ks)] = True
-    inside = in_k[index.edge_array].all(axis=1)
+    inside = _k_mask(index.host.n, ks)[index.edge_array].all(axis=1)
     family_covered = None
     if family is not None:
         for member in family:
@@ -441,6 +459,47 @@ def k_set_stats(
     )
 
 
+# ---------------------------------------------------------------------
+# Edge-disjoint packings of copies, over canonical copy ids
+# ---------------------------------------------------------------------
+
+
+def _k_members(index: CopyIndex, ks: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The copies' edge-id rows in canonical order, which of each row's
+    edges lie inside K, and the packing members: the copies with an edge
+    inside K that share exactly two vertices with K.  Vertices of K that
+    are not host vertices meet no copy."""
+    in_k = _k_mask(index.host.n, ks)
+    rows = index.edge_ids[index.order]
+    inside = in_k[index.edge_array[rows]].all(axis=2)
+    two_vertex = np.count_nonzero(in_k[index.images[index.order]], axis=1) == 2
+    return rows, inside, inside.any(axis=1) & two_vertex
+
+
+def _conflicts(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Shared-edge conflict masks of rows of edge ids: bit j of mask i is
+    set when rows i != j have an edge in common."""
+    owners: defaultdict[int, int] = defaultdict(int)
+    for j, row in enumerate(rows):
+        for e in row:
+            owners[e] |= 1 << j
+    return [reduce(or_, map(owners.__getitem__, row)) & ~(1 << j) for j, row in enumerate(rows)]
+
+
+def _greedy_pack(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Positions of the rows of edge ids that an in-order scan keeps when
+    each must share no edge with those kept before it.  The packing is
+    inclusion-maximal: every row left out meets a kept one."""
+    used = 0
+    kept = []
+    for j, row in enumerate(rows):
+        bits = reduce(or_, [1 << e for e in row], 0)
+        if not used & bits:
+            used |= bits
+            kept.append(j)
+    return kept
+
+
 def packing_report(
     index: CopyIndex, k_set: Iterable[int], copy_cap: int = 5000
 ) -> PackingReport:
@@ -454,64 +513,39 @@ def packing_report(
     if not isinstance(index.host, Graph):
         raise TypeError("packing reports are defined for graph hosts only")
     ks = _validate_k(index.host, k_set)
-
-    touching: list[int] = []
-    for i, copy in enumerate(index.copies):
-        if any(e[0] in ks and e[1] in ks for e in copy.edges):
-            touching.append(i)
-    two_vertex = [i for i in touching if len(index.copies[i].vertices & ks) == 2]
+    rows, inside, members = _k_members(index, ks)
+    touching = inside.any(axis=1)
+    two_vertex = np.flatnonzero(members).tolist()
 
     if len(two_vertex) > copy_cap:
         raise PackingInfeasibleError(
             f"exact packing infeasible: {len(two_vertex)} copies exceed cap {copy_cap}"
         )
 
-    # Conflict graph: copies adjacent iff they share at least one edge.
-    local = {cid: j for j, cid in enumerate(two_vertex)}
-    masks = [0] * len(two_vertex)
-    edge_owners: dict[EdgeTuple, list[int]] = {}
-    for cid in two_vertex:
-        for e in index.copies[cid].edges:
-            edge_owners.setdefault(e, []).append(local[cid])
-    for owners in edge_owners.values():
-        for a, b in combinations(owners, 2):
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    mis = max_independent_set(masks)
+    member_rows = rows[members].tolist()
+    conflict = _conflicts(member_rows)
+    mis = max_independent_set(conflict)
     if not mis.exact:
         raise RuntimeError("the unbudgeted packing search returned an inexact size")
     witness = tuple(two_vertex[j] for j in mis.members)
 
-    two_vertex_set = set(two_vertex)
-    used_edges: set[EdgeTuple] = set()
-    greedy_touching = 0
-    for cid in touching:
-        if cid in two_vertex_set:
-            continue
-        edges = index.copies[cid].edges
-        if used_edges.isdisjoint(edges):
-            greedy_touching += 1
-            used_edges.update(edges)
+    greedy_touching = len(_greedy_pack(rows[touching & ~members].tolist()))
 
-    used_union_edges: set[EdgeTuple] = set()
-    greedy_pairs = 0
-    for a, b in combinations(two_vertex, 2):
-        ca, cb = index.copies[a], index.copies[b]
-        if not ca.edges & cb.edges:
-            continue
-        if (ca.vertices & ks) == (cb.vertices & ks):
-            continue
-        union = ca.edges | cb.edges
-        if used_union_edges.isdisjoint(union):
-            greedy_pairs += 1
-            used_union_edges.update(union)
+    # A member shares with K the two ends of its one edge inside K.
+    k_edge = rows[members][inside[members]].tolist()
+    unions = [
+        member_rows[a] + member_rows[b]
+        for a, b in combinations(range(len(member_rows)), 2)
+        if conflict[a] >> b & 1 and k_edge[a] != k_edge[b]
+    ]
+    greedy_pairs = len(_greedy_pack(unions))
 
     covered = k_set_stats(index, ks).covered_inside
     e_h = index.pattern_edge_count
     rhs = mis.size + 2 * e_h * e_h * (greedy_touching + greedy_pairs) * index.max_copies_per_edge
     return PackingReport(
         vertices=tuple(sorted(ks)),
-        touching_count=len(touching),
+        touching_count=int(np.count_nonzero(touching)),
         two_vertex_count=len(two_vertex),
         max_disjoint_two_vertex=mis.size,
         greedy_disjoint_touching=greedy_touching,

@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +32,8 @@ from .alteration import ramsey_certificate, refined_alteration, independence_num
 from .cliques import max_independent_set
 from .copies import (
     PackingInfeasibleError,
+    _conflicts,
+    _k_members,
     enumerate_copies,
     global_copy_stats,
     k_set_stats,
@@ -481,36 +482,23 @@ def run_tail_check(
     exactly two vertices (one edge) with K.  With mu the expected number
     of present members, the tail of the largest present edge-disjoint
     subcollection Z is checked against (e*mu/x)^x at every grid point,
-    within three binomial-proportion standard deviations.
+    within three binomial-proportion standard deviations.  The members and
+    their shared-edge conflicts come from the packing kernel in copies.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     ks = frozenset(k_set)
     host = complete_graph(n)
     index = enumerate_copies(host, pattern)
-    members = [
-        c
-        for c in index.copies
-        if len(c.vertices & ks) == 2
-        and any(e[0] in ks and e[1] in ks for e in c.edges)
-    ]
-    if len(members) > copy_cap:
+    rows, _, members = _k_members(index, ks)
+    member_rows = rows[members]
+    if len(member_rows) > copy_cap:
         raise PackingInfeasibleError(
-            f"{len(members)} packing members exceed cap {copy_cap}"
+            f"{len(member_rows)} packing members exceed cap {copy_cap}"
         )
-    mu = sum(p ** len(c.edges) for c in members)
-
-    # Conflict masks among members (shared edge) and the exact packing bound.
-    edge_owners: dict[tuple[int, ...], list[int]] = {}
-    for j, c in enumerate(members):
-        for e in c.edges:
-            edge_owners.setdefault(e, []).append(j)
-    conflict = [0] * len(members)
-    for owners in edge_owners.values():
-        for a, b in combinations(owners, 2):
-            conflict[a] |= 1 << b
-            conflict[b] |= 1 << a
-    packing_bound = max_independent_set(conflict).size if members else 0
+    # Summed member by member: len(members) * p**e_H can differ in the last bit.
+    mu = sum(p ** pattern.num_edges for _ in member_rows)
+    packing_bound = max_independent_set(_conflicts(member_rows.tolist())).size
 
     if x_grid is None:
         x_grid = [x for x in range(1, packing_bound + 1) if x > mu]
@@ -519,27 +507,14 @@ def run_tail_check(
         if any(x <= mu for x in x_grid):
             raise ValueError("tail grid points must exceed mu")
 
-    pairs = list(combinations(range(n), 2))
-    pair_index = {e: i for i, e in enumerate(pairs)}
-    member_edges = [sorted(pair_index[e] for e in c.edges) for c in members]
-
+    # Host edge i of K_n is the i-th pair of combinations(range(n), 2), the
+    # pair the i-th draw decides.
     source = RandomSource(seed)
     z_hist: dict[int, int] = {}
     for t in range(trials):
-        stream = source.stream("tail", t)
-        bits = stream.random(len(pairs)) < p
-        present = [j for j, es in enumerate(member_edges) if all(bits[i] for i in es)]
-        if len(present) <= 1:
-            z = len(present)
-        else:
-            local = {j: i for i, j in enumerate(present)}
-            masks = [0] * len(present)
-            for i, j in enumerate(present):
-                m = conflict[j]
-                for j2 in present:
-                    if m >> j2 & 1:
-                        masks[i] |= 1 << local[j2]
-            z = max_independent_set(masks).size
+        bits = source.stream("tail", t).random(host.num_edges) < p
+        present = member_rows[bits[member_rows].all(axis=1)]
+        z = max_independent_set(_conflicts(present.tolist())).size
         z_hist[z] = z_hist.get(z, 0) + 1
 
     plot_rows = []
@@ -568,7 +543,7 @@ def run_tail_check(
         "p": p,
         "trials": trials,
         "seed": seed,
-        "members": len(members),
+        "members": len(member_rows),
         "mu": mu,
         "packing_bound": packing_bound,
         "z_histogram": {str(z): c for z, c in sorted(z_hist.items())},
@@ -756,9 +731,7 @@ def _builder_trial(
         pool_cap=pool_cap,
     )
     red, blue = builder_final_graphs(transcript)
-    red_clean = (
-        len(enumerate_copies(red, core).copies) == 0 if red.num_edges else True
-    )
+    red_clean = len(enumerate_copies(red, core)) == 0 if red.num_edges else True
     return {
         "trial": trial,
         "turns": len(transcript.turns),

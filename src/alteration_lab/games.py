@@ -208,7 +208,7 @@ class _FixedDeciderSession:
         return self.accept
 
 
-def _run_rps_loop(n, pattern, psession, decide, state: RpsState) -> list[TurnRecord]:
+def _run_rps_loop(psession, decide, state: RpsState) -> list[TurnRecord]:
     """Shared proposal loop; decide(turn, history, pair) -> (accept, draws)."""
     turns: list[TurnRecord] = []
     while True:
@@ -258,7 +258,7 @@ def run_rps(
         accept = dsession.decide(turn, history)
         return accept, dsession.draws - before
 
-    turns = _run_rps_loop(n, pattern, psession, decide, state)
+    turns = _run_rps_loop(psession, decide, state)
     return GameTranscript(
         game="rps",
         params=(
@@ -317,7 +317,7 @@ def coupled_rps_check(
     def decide(turn, history, pair):
         return labels.label(*pair) < p, 0
 
-    _run_rps_loop(n, pattern, psession, decide, state)
+    _run_rps_loop(psession, decide, state)
     game_graph = Graph(n, state.edges)
     random_graph = labels.threshold_graph(p)
     subset_ok = game_graph.edge_set <= random_graph.edge_set

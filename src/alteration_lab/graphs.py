@@ -51,13 +51,25 @@ def _parse_text(text: str, kind: str, fields: str) -> tuple[list[int], list[list
     return values, [ints(lineno, tokens) for lineno, tokens in rows[1:]]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_fields(obj, kind: str, keys: str) -> list:
-    """The named fields of a JSON object form, or ValueError naming a missing one."""
+    """The named fields of a JSON object form, or ValueError naming a missing
+    or mistyped one: n and r are integers, edges a list of integer lists."""
     if not isinstance(obj, dict):
         raise ValueError(f"{kind} JSON must be an object, got {type(obj).__name__}")
     for key in keys.split():
         if key not in obj:
             raise ValueError(f"{kind} JSON object has no {key!r} key")
+        value = obj[key]
+        if key == "edges":
+            rows = isinstance(value, list) and all(isinstance(e, list) for e in value)
+            if not (rows and all(_is_int(v) for e in value for v in e)):
+                raise ValueError(f"{kind} JSON field 'edges' must be a list of integer lists")
+        elif not _is_int(value):
+            raise ValueError(f"{kind} JSON field {key!r} must be an integer, got {type(value).__name__}")
     return [obj[key] for key in keys.split()]
 
 

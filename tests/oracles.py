@@ -2,16 +2,22 @@
 
 Everything here is deliberately naive: direct enumeration with Fractions,
 permutation counting, and subset scans.  The oracles never share code with
-the production paths they audit.
+the production paths they audit.  The reference packing audit and tail
+loop are the earlier scans over Copy objects; they reuse copy enumeration,
+the exact independent set and the random streams, not the packing code.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from alteration_lab.graphs import Graph, canonical_pair
+from alteration_lab.cliques import max_independent_set
+from alteration_lab.copies import PackingInfeasibleError, PackingReport, enumerate_copies
+from alteration_lab.graphs import Graph, canonical_pair, complete_graph
+from alteration_lab.randomness import RandomSource
 
 
 def brute_two_density(graph: Graph) -> Fraction:
@@ -176,6 +182,126 @@ def greedy_adversarial_k(host, covered, seed_edge, k: int) -> tuple[int, ...]:
                 best_v, best_score = v, score[v]
         add(best_v)
     return tuple(sorted(chosen))
+
+
+def _shared_edge_masks(members) -> list[int]:
+    """Conflict masks over Copy objects: adjacent iff they share an edge."""
+    edge_owners: dict = {}
+    for j, c in enumerate(members):
+        for e in c.edges:
+            edge_owners.setdefault(e, []).append(j)
+    masks = [0] * len(members)
+    for owners in edge_owners.values():
+        for a, b in combinations(owners, 2):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return masks
+
+
+def reference_packing_report(index, k_set, copy_cap: int = 5000):
+    """The packing audit as a scan over Copy objects in canonical order:
+    touching copies, the two-vertex members, their shared-edge conflict
+    graph and the two greedy edge-disjoint packings."""
+    ks = frozenset(k_set)
+    copies = index.copies
+    touching = [i for i, c in enumerate(copies) if any(ks.issuperset(e) for e in c.edges)]
+    two_vertex = [i for i in touching if len(copies[i].vertices & ks) == 2]
+    if len(two_vertex) > copy_cap:
+        raise PackingInfeasibleError(f"{len(two_vertex)} copies exceed cap {copy_cap}")
+    mis = max_independent_set(_shared_edge_masks([copies[i] for i in two_vertex]))
+    witness = tuple(two_vertex[j] for j in mis.members)
+
+    used: set = set()
+    greedy_touching = 0
+    for i in touching:
+        if i not in two_vertex and used.isdisjoint(copies[i].edges):
+            greedy_touching += 1
+            used.update(copies[i].edges)
+    used = set()
+    greedy_pairs = 0
+    for a, b in combinations(two_vertex, 2):
+        ca, cb = copies[a], copies[b]
+        if ca.edges & cb.edges and ca.vertices & ks != cb.vertices & ks:
+            union = ca.edges | cb.edges
+            if used.isdisjoint(union):
+                greedy_pairs += 1
+                used.update(union)
+
+    covered = sum(ks.issuperset(e) for e in index.covered_edges)
+    e_h = index.pattern.num_edges
+    rhs = mis.size + 2 * e_h * e_h * (greedy_touching + greedy_pairs) * index.max_copies_per_edge
+    return PackingReport(
+        vertices=tuple(sorted(ks)),
+        touching_count=len(touching),
+        two_vertex_count=len(two_vertex),
+        max_disjoint_two_vertex=mis.size,
+        greedy_disjoint_touching=greedy_touching,
+        greedy_disjoint_pair_unions=greedy_pairs,
+        covered_inside=covered,
+        bound_rhs=rhs,
+        bound_holds=covered <= rhs,
+        max_disjoint_witness=witness,
+    )
+
+
+def reference_tail_check(n, pattern, k_set, p, trials, seed, x_grid=None):
+    """The disjoint-packing tail audit over Copy objects: the members share
+    exactly two vertices with K and one edge inside it, and each trial
+    relabels the present members' conflict masks before its exact packing.
+    Returns (summary, plot rows) as run_tail_check writes them."""
+    ks = frozenset(k_set)
+    members = [
+        c for c in enumerate_copies(complete_graph(n), pattern).copies
+        if len(c.vertices & ks) == 2 and any(ks.issuperset(e) for e in c.edges)
+    ]
+    mu = sum(p ** len(c.edges) for c in members)
+    conflict = _shared_edge_masks(members)
+    packing_bound = max_independent_set(conflict).size if members else 0
+    if x_grid is None:
+        x_grid = [x for x in range(1, packing_bound + 1) if x > mu]
+
+    pairs = list(combinations(range(n), 2))
+    pair_index = {e: i for i, e in enumerate(pairs)}
+    member_edges = [sorted(pair_index[e] for e in c.edges) for c in members]
+    source = RandomSource(seed)
+    z_hist: dict[int, int] = {}
+    for t in range(trials):
+        bits = source.stream("tail", t).random(len(pairs)) < p
+        present = [j for j, es in enumerate(member_edges) if all(bits[i] for i in es)]
+        local = {j: i for i, j in enumerate(present)}
+        masks = [0] * len(present)
+        for i, j in enumerate(present):
+            for j2 in present:
+                if conflict[j] >> j2 & 1:
+                    masks[i] |= 1 << local[j2]
+        z = max_independent_set(masks).size
+        z_hist[z] = z_hist.get(z, 0) + 1
+
+    plot_rows = []
+    for x in x_grid:
+        empirical = sum(c for z, c in z_hist.items() if z >= x) / trials
+        bound = (math.e * mu / x) ** x if mu > 0 else 0.0
+        capped = min(bound, 1.0)
+        sigma = math.sqrt(capped * (1 - capped) / trials)
+        plot_rows.append(
+            {"x": x, "empirical": empirical, "bound": bound, "tolerance": 3 * sigma,
+             "ok": empirical <= capped + 3 * sigma}
+        )
+    summary = {
+        "n": n,
+        "pattern": pattern.to_json_obj(),
+        "k_set": sorted(ks),
+        "p": p,
+        "trials": trials,
+        "seed": seed,
+        "members": len(members),
+        "mu": mu,
+        "packing_bound": packing_bound,
+        "z_histogram": {str(z): c for z, c in sorted(z_hist.items())},
+        "grid": [row["x"] for row in plot_rows],
+        "all_ok": all(row["ok"] for row in plot_rows),
+    }
+    return summary, plot_rows
 
 
 def brute_max_edge_disjoint(edge_sets) -> int:

@@ -52,9 +52,10 @@ def test_alter_command_round_trip(tmp_path):
 
     out_file = tmp_path / "out.txt"
     summary = json.loads(
-        invoke("alter", path, "--pattern", "K3", "--method", "krivelevich", "--out", out_file)
+        invoke("alter", path, "--pattern", "K3", "--method", "disjoint-collection", "--out", out_file)
     )
     assert out_file.exists()
+    assert summary["method"] == "disjoint-collection"
     assert summary["kept"] == Graph.from_text(out_file.read_text()).num_edges
 
     greedy_text = invoke(
@@ -184,6 +185,9 @@ def test_json_missing_keys_are_usage_errors(tmp_path):
         ("no_edges.json", '{"n": 3}', "edges"),
         ("no_n.json", '{"edges": [[0, 1]]}', "n"),
         ("no_edges_r3.json", '{"n": 4, "r": 3}', "edges"),
+        ("text_n.json", '{"n": "3", "edges": []}', "n"),
+        ("int_edges.json", '{"n": 3, "edges": 5}', "edges"),
+        ("text_r.json", '{"n": 4, "r": "3", "edges": [[0, 1, 2]]}', "r"),
     ):
         path = tmp_path / name
         path.write_text(text)

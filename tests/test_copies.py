@@ -33,6 +33,7 @@ from oracles import (
     brute_max_edge_disjoint,
     copy_count_oracle,
     hypergraph_copy_oracle,
+    reference_packing_report,
 )
 
 
@@ -250,6 +251,28 @@ def test_packing_bound_on_random_instances():
         report = packing_report(index, k_set)
         assert report.bound_holds
         assert report.covered_inside == k_set_stats(index, k_set).covered_inside
+
+
+def test_packing_report_matches_reference():
+    # Every field, the witness's canonical copy ids included, against the
+    # audit that scans Copy objects; hosts without copies too.
+    rng = random.Random(41)
+    src = RandomSource(41)
+    hosts = [Graph(6), cycle_graph(7), path_graph(9)]
+    hosts += [
+        sample_gnp(rng.randint(4, 14), rng.uniform(0.2, 0.6), src.stream("packing", trial))
+        for trial in range(16)
+    ]
+    compared = 0
+    for host in hosts:
+        for pattern in (K3, C4, K4, C5, PAW):
+            index = enumerate_copies(host, pattern)
+            for size in range(1, min(8, host.n) + 1):
+                ks = rng.sample(range(host.n), size)
+                report = packing_report(index, ks)
+                assert report == reference_packing_report(index, ks)
+                compared += report.two_vertex_count > 1
+    assert compared >= 100
 
 
 def test_global_stats_examples():

@@ -31,7 +31,7 @@ from alteration_lab.graphs import (
 )
 from alteration_lab.randomness import RandomSource, sample_gnp, sample_uniform_hypergraph
 
-from oracles import greedy_adversarial_k
+from oracles import greedy_adversarial_k, reference_tail_check
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -282,6 +282,29 @@ def test_tail_check_p1_is_deterministic_packing():
     bound = result.summary["packing_bound"]
     hist = result.summary["z_histogram"]
     assert hist == {str(bound): 10}
+
+
+def test_tail_check_matches_reference():
+    for pattern in (K3, C4):
+        for n in range(6, 11):
+            for p in (0.3, 0.5, 1.0):
+                # At p = 1 K holds a vertex outside the host, which meets no copy.
+                k_set = {0.3: range(4), 0.5: range(n // 2), 1.0: [0, 2, n + 1]}[p]
+                result = run_tail_check(n, pattern, k_set, p, trials=60, seed=n)
+                summary, rows = reference_tail_check(n, pattern, k_set, p, trials=60, seed=n)
+                assert dumps(result.summary) == dumps(summary)
+                assert dumps(result.plot_rows) == dumps(rows)
+
+
+def test_packing_audit_and_tail_check_build_no_copies(monkeypatch):
+    def no_copy(**fields):
+        pytest.fail("a Copy object was built")
+
+    host = sample_gnp(12, 0.5, RandomSource(4).stream("host"))
+    index = enumerate_copies(host, C4)
+    monkeypatch.setattr(copies, "Copy", no_copy)
+    assert copies.packing_report(index, range(6)).two_vertex_count > 0
+    assert run_tail_check(8, K3, range(4), 0.5, trials=20, seed=1).summary["members"] == 24
 
 
 def test_tail_check_grid_validation():

@@ -105,6 +105,13 @@ def test_json_missing_keys_are_named():
         ('{"n": 3}', "edges"),
         ('{"edges": [[0, 1]]}', "n"),
         ('{"n": 4, "r": 3}', "edges"),
+        ('{"n": "3", "edges": []}', "n"),
+        ('{"n": 3, "edges": 5}', "edges"),
+        ('{"n": 3, "edges": [[0, 1], 2]}', "edges"),
+        ('{"n": 3, "edges": [[0, 1.5]]}', "edges"),
+        ('{"n": true, "edges": []}', "n"),
+        ('{"n": 4, "r": "3", "edges": []}', "r"),
+        ('{"n": 4, "r": 3, "edges": {"0": [0, 1, 2]}}', "edges"),
     ):
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_structure("g.json", text)
