@@ -105,14 +105,14 @@ def disjoint_collection_alteration(graph: Graph, pattern: Graph) -> AlterationRe
     the collection and hence added to it.
     """
     index = enumerate_copies(graph, pattern)
-    chosen = [index.copies[i] for i in _greedy_pack(index.edge_ids[index.order].tolist())]
-    removed = frozenset(e for copy in chosen for e in copy.edges)
+    rows = index.order[_greedy_pack(index.edge_ids[index.order].tolist())]
+    removed = frozenset(graph.edges[i] for i in index.edge_ids[rows].ravel().tolist())
     return AlterationResult(
         input_graph=graph,
         output_graph=graph.without_edges(removed),
         removed=removed,
         method="disjoint-collection",
-        collection=tuple(chosen),
+        collection=index._copies_at(rows),
     )
 
 

@@ -9,6 +9,7 @@ parameters are natural.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -22,10 +23,11 @@ from .alteration import (
     ramsey_certificate,
     refined_alteration,
 )
-from .copies import enumerate_copies, k_set_stats, packing_report
+from .copies import PackingInfeasibleError, enumerate_copies, k_set_stats, packing_report
 from .density import density_report, minimal_balanced_core
 from .experiments import (
     ExperimentResult,
+    InfeasibleError,
     derive_parameters,
     dumps,
     run_concentration_experiment,
@@ -74,7 +76,24 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True)
 trials_option = click.option("--trials", type=int, default=200, show_default=True)
 
 
-@click.group()
+class _Command(click.Command):
+    """Shows the drivers' input errors without a traceback: a ValueError is
+    a usage error (exit 2), a run too large to do is an error (exit 1)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except (InfeasibleError, PackingInfeasibleError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(exists=True), default=None, help="JSON file of per-subcommand option defaults.")
 @click.pass_context
 def main(ctx: click.Context, config: str | None) -> None:
@@ -207,28 +226,30 @@ def alpha(host: str, budget: int, fmt: str) -> None:
     )
 
 
-def _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r):
-    members = [_load(f, "--family") for f in family] if family else None
-    pat = _load(pattern, "--pattern") if pattern else None
-    params = derive_parameters(
-        pat,
-        members,
-        k=k,
-        big_c=big_c,
-        little_c=little_c,
-        delta=delta,
-        trials=trials,
-        k_samples=k_samples,
-        seed=seed,
-        n_override=n,
-        p_override=p,
-    )
-    if r is not None and params.r != r:
-        raise click.UsageError(f"--r {r} disagrees with pattern uniformity {params.r}")
-    return params
-
-
 def _experiment_flags(fn):
+    """The flags shared by the trial drivers, passed on as one params argument."""
+
+    @functools.wraps(fn)
+    def command(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, n, p, **rest):
+        members = [_load(f, "--family") for f in family] if family else None
+        pat = _load(pattern, "--pattern") if pattern else None
+        params = derive_parameters(
+            pat,
+            members,
+            k=k,
+            big_c=big_c,
+            little_c=little_c,
+            delta=delta,
+            trials=trials,
+            k_samples=k_samples,
+            seed=seed,
+            n_override=n,
+            p_override=p,
+        )
+        if r is not None and params.r != r:
+            raise click.UsageError(f"--r {r} disagrees with pattern uniformity {params.r}")
+        return fn(params, **rest)
+
     for deco in (
         click.option("--pattern", default=None, help="Pattern name or file."),
         click.option("--family", multiple=True, help="Family member pattern; repeatable."),
@@ -245,24 +266,22 @@ def _experiment_flags(fn):
         out_option,
         fmt_option,
     ):
-        fn = deco(fn)
-    return fn
+        command = deco(command)
+    return command
 
 
 @main.command()
 @_experiment_flags
 @click.option("--policy", type=click.Choice(["mixed", "uniform", "adversarial"]), default="mixed", show_default=True)
-def concentration(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, n, p, out, fmt, policy):
+def concentration(params, out, fmt, policy):
     """Sampled k-set thresholds for covered edges (Y) and edge counts (X)."""
-    params = _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r)
     _finish(run_concentration_experiment(params, k_policy=policy), out, fmt)
 
 
 @main.command()
 @_experiment_flags
-def lemma5(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, n, p, out, fmt):
+def lemma5(params, out, fmt):
     """Global and per-vertex copy-count concentration with the exact identity."""
-    params = _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r)
     _finish(run_copy_count_experiment(params), out, fmt)
 
 
@@ -327,9 +346,8 @@ def ramsey_search(pattern, k, big_cs, little_cs, trials, seed, budget, out, fmt)
 @_experiment_flags
 @click.option("--proposer", type=click.Choice(["random", "dense"]), default="random", show_default=True)
 @click.option("--alpha-budget", type=int, default=10_000_000, show_default=True)
-def rps(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, n, p, out, fmt, proposer, alpha_budget):
+def rps(params, out, fmt, proposer, alpha_budget):
     """Batches of propose/decide games against the probability-p decider."""
-    params = _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r)
     _finish(
         run_game_experiment("rps", params, proposer=proposer, alpha_budget=alpha_budget),
         out,
@@ -342,9 +360,8 @@ def rps(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, 
 @click.option("--builder", type=click.Choice(["random", "pump"]), default="random", show_default=True)
 @click.option("--turn-cap", type=int, default=None, help="Override the derived turn budget floor(L*n/2).")
 @click.option("--pool-cap", type=int, default=None)
-def builder_game(pattern, family, k, big_c, little_c, delta, r, trials, k_samples, seed, n, p, out, fmt, builder, turn_cap, pool_cap):
+def builder_game(params, out, fmt, builder, turn_cap, pool_cap):
     """Batches of builder/painter games against the threshold painter."""
-    params = _params_from_flags(pattern, family, k, big_c, little_c, delta, trials, k_samples, seed, n, p, r)
     _finish(
         run_game_experiment("builder", params, builder=builder, turn_cap=turn_cap, pool_cap=pool_cap),
         out,

@@ -165,12 +165,16 @@ class CopyIndex:
     @cached_property
     def copies(self) -> tuple[Copy, ...]:
         """Copy objects in canonical Copy.sort_key order."""
+        return self._copies_at(self.order)
+
+    def _copies_at(self, rows: np.ndarray) -> tuple[Copy, ...]:
+        """Copy objects for the given rows, in that order."""
         edge = self.host.edges.__getitem__
         # Pattern edge order fixes each frozenset's iteration order, and so the key
         # order of coverage.
         return tuple(
             Copy(vertices=frozenset(vs), edges=frozenset(map(edge, es)))
-            for vs, es in zip(self.images[self.order].tolist(), self.edge_ids[self.order].tolist())
+            for vs, es in zip(self.images[rows].tolist(), self.edge_ids[rows].tolist())
         )
 
     @cached_property
@@ -426,9 +430,9 @@ def _validate_k(host: Graph | UniformHypergraph, k_set: Iterable[int]) -> frozen
 
 
 def _k_mask(n: int, ks: frozenset[int]) -> np.ndarray:
-    """The host vertices 0..n-1 that lie in K, as a boolean mask."""
+    """A validated K as a boolean mask over the host vertices 0..n-1."""
     in_k = np.zeros(n, dtype=bool)
-    in_k[[v for v in ks if 0 <= v < n]] = True
+    in_k[list(ks)] = True
     return in_k
 
 

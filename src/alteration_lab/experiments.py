@@ -34,6 +34,7 @@ from .copies import (
     PackingInfeasibleError,
     _conflicts,
     _k_members,
+    _validate_k,
     enumerate_copies,
     global_copy_stats,
     k_set_stats,
@@ -487,8 +488,8 @@ def run_tail_check(
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    ks = frozenset(k_set)
     host = complete_graph(n)
+    ks = _validate_k(host, k_set)
     index = enumerate_copies(host, pattern)
     rows, _, members = _k_members(index, ks)
     member_rows = rows[members]
@@ -710,12 +711,10 @@ def _builder_trial(
     builder_name: str,
     turn_cap: int,
     pool_cap: int,
-    core_edges: tuple,
-    core_n: int,
+    core: Graph,
     trial: int,
 ) -> dict:
     pattern = params.graph_pattern("game experiments")
-    core = Graph(core_n, core_edges)
     if builder_name == "pump":
         builder = PumpBuilder(params.k)
     else:
@@ -783,15 +782,7 @@ def run_game_experiment(
         pool = pool_cap if pool_cap is not None else max(4 * cap, 2 * params.k, 2)
         core = minimal_balanced_core(pattern)
         records = map_trials(
-            partial(
-                _builder_trial,
-                params,
-                builder,
-                cap,
-                pool,
-                core.edges,
-                core.n,
-            ),
+            partial(_builder_trial, params, builder, cap, pool, core),
             params.trials,
             workers,
         )

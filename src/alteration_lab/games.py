@@ -10,7 +10,16 @@ it red or blue.  Builder wins on a red pattern copy or a blue clique of
 the target size; the engine detects both exactly through the newest edge.
 
 Engine graphs are adjacency bitmasks, and every rule check is one
-copies.has_copy_through_edge query; a blue clique is a copy of K_k.
+copies.has_copy_through_edge query; a blue clique is a copy of K_k.  A
+game's turns are the one record of its edges.
+
+Strategies hold only parameters; strategy.session(...) makes the per-game
+player.  Proposer and builder sessions answer next_pair(state) with a pair,
+or None when they have none left; the built-ins share a shuffled-pool and
+a plan-cursor session that skip pairs failing state.is_legal (proposers)
+or state.is_unplaced (builders).  Decider sessions answer decide(turn,
+history), painter sessions color(state, u, v); both count their RNG draws
+in .draws.  A strategy that draws nothing is its own session.
 
 The threshold painter and the probability-p decider are the randomized
 strategies the experiments study; the other built-ins are adversaries to
@@ -47,9 +56,11 @@ class GameTranscript:
     params: tuple[tuple[str, object], ...]
     turns: tuple[TurnRecord, ...]
     outcome: str  # exhausted | turn-cap | red-pattern | blue-clique
-    final_edges: tuple[tuple[int, int], ...]
-    final_red: tuple[tuple[int, int], ...] | None = None
-    final_blue: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def final_edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted edges of the final graph: every pair not rejected."""
+        return tuple(sorted(t.pair for t in self.turns if t.action != "reject"))
 
     def param(self, key: str):
         for k, v in self.params:
@@ -60,8 +71,7 @@ class GameTranscript:
 
 def rps_final_graph(transcript: GameTranscript) -> Graph:
     """Rebuild the final graph of a propose/decide transcript from its turns."""
-    n = transcript.param("n")
-    return Graph(n, [t.pair for t in transcript.turns if t.action == "accept"])
+    return Graph(transcript.param("n"), transcript.final_edges)
 
 
 def builder_final_graphs(transcript: GameTranscript) -> tuple[Graph, Graph]:
@@ -70,6 +80,45 @@ def builder_final_graphs(transcript: GameTranscript) -> tuple[Graph, Graph]:
     red = Graph(n, [t.pair for t in transcript.turns if t.action == "red"])
     blue = Graph(n, [t.pair for t in transcript.turns if t.action == "blue"])
     return red, blue
+
+
+class _ShuffledPoolSession:
+    """Draws a uniformly random pair from the pool, removes it, and hands it
+    out if keep(u, v) holds; a pair that fails is dropped for good."""
+
+    def __init__(self, pairs, stream: np.random.Generator, keep):
+        self.pool = list(pairs)
+        self.stream = stream
+        self.keep = keep
+
+    def next_pair(self, state) -> tuple[int, int] | None:
+        pool = self.pool
+        while pool:
+            i = int(self.stream.integers(len(pool)))
+            pair = pool[i]
+            pool[i] = pool[-1]
+            pool.pop()
+            if self.keep(*pair):
+                return pair
+        return None
+
+
+class _PlanCursorSession:
+    """Hands out the pairs of a fixed plan in order, skipping those that
+    fail keep(u, v)."""
+
+    def __init__(self, plan: list[tuple[int, int]], keep):
+        self.plan = plan
+        self.cursor = 0
+        self.keep = keep
+
+    def next_pair(self, state) -> tuple[int, int] | None:
+        while self.cursor < len(self.plan):
+            pair = self.plan[self.cursor]
+            self.cursor += 1
+            if self.keep(*pair):
+                return pair
+        return None
 
 
 # ---------------------------------------------------------------------
@@ -84,7 +133,6 @@ class RpsState:
         self.n = n
         self.pattern = pattern
         self.masks: list[int] = [0] * n
-        self.edges: set[tuple[int, int]] = set()
         self.proposed: set[tuple[int, int]] = set()
         self.turn = 0
         self.decisions: list[bool] = []
@@ -108,7 +156,6 @@ class RpsState:
         pair = canonical_pair(u, v)
         self.proposed.add(pair)
         if accept:
-            self.edges.add(pair)
             self.masks[u] |= 1 << v
             self.masks[v] |= 1 << u
         self.decisions.append(accept)
@@ -124,46 +171,16 @@ class RandomLegalProposer:
     """
 
     def session(self, state: RpsState, stream: np.random.Generator):
-        return _RandomLegalSession(state.n, stream)
-
-
-class _RandomLegalSession:
-    def __init__(self, n: int, stream: np.random.Generator):
-        self.pool = list(combinations(range(n), 2))
-        self.stream = stream
-
-    def propose(self, state: RpsState) -> tuple[int, int] | None:
-        pool = self.pool
-        while pool:
-            i = int(self.stream.integers(len(pool)))
-            pair = pool[i]
-            pool[i] = pool[-1]
-            pool.pop()
-            if state.is_legal(*pair):
-                return pair
-        return None
+        return _ShuffledPoolSession(combinations(range(state.n), 2), stream, state.is_legal)
 
 
 class DenseFirstProposer:
     """Proposes pairs inside the lowest-indexed vertices first."""
 
     def session(self, state: RpsState, stream: np.random.Generator):
-        return _DenseFirstSession(state.n)
-
-
-class _DenseFirstSession:
-    def __init__(self, n: int):
         # (0,1), (0,2), (1,2), (0,3), ... : grows a clique prefix.
-        self.pool = sorted(combinations(range(n), 2), key=lambda e: (e[1], e[0]))
-        self.cursor = 0
-
-    def propose(self, state: RpsState) -> tuple[int, int] | None:
-        while self.cursor < len(self.pool):
-            pair = self.pool[self.cursor]
-            self.cursor += 1
-            if state.is_legal(*pair):
-                return pair
-        return None
+        plan = sorted(combinations(range(state.n), 2), key=lambda e: (e[1], e[0]))
+        return _PlanCursorSession(plan, state.is_legal)
 
 
 class RandomDecider:
@@ -192,17 +209,13 @@ class _RandomDeciderSession:
 class FixedDecider:
     """Always accepts or always rejects; consumes no randomness."""
 
+    draws = 0
+
     def __init__(self, accept: bool):
         self.accept = accept
 
     def session(self, stream: np.random.Generator):
-        return _FixedDeciderSession(self.accept)
-
-
-class _FixedDeciderSession:
-    def __init__(self, accept: bool):
-        self.accept = accept
-        self.draws = 0
+        return self
 
     def decide(self, turn: int, history: tuple[bool, ...]) -> bool:
         return self.accept
@@ -212,7 +225,7 @@ def _run_rps_loop(psession, decide, state: RpsState) -> list[TurnRecord]:
     """Shared proposal loop; decide(turn, history, pair) -> (accept, draws)."""
     turns: list[TurnRecord] = []
     while True:
-        pair = psession.propose(state)
+        pair = psession.next_pair(state)
         if pair is None:
             leftover = state.any_legal_pair()
             if leftover is not None:
@@ -270,7 +283,6 @@ def run_rps(
         ),
         turns=tuple(turns),
         outcome="exhausted",
-        final_edges=tuple(sorted(state.edges)),
     )
 
 
@@ -317,8 +329,8 @@ def coupled_rps_check(
     def decide(turn, history, pair):
         return labels.label(*pair) < p, 0
 
-    _run_rps_loop(psession, decide, state)
-    game_graph = Graph(n, state.edges)
+    turns = _run_rps_loop(psession, decide, state)
+    game_graph = Graph(n, (t.pair for t in turns if t.action == "accept"))
     random_graph = labels.threshold_graph(p)
     subset_ok = game_graph.edge_set <= random_graph.edge_set
 
@@ -362,19 +374,14 @@ class BuilderGameState:
         self.masks: list[int] = [0] * pool_cap
         self.red_masks: list[int] = [0] * pool_cap
         self.blue_masks: list[int] = [0] * pool_cap
-        self.degree: list[int] = [0] * pool_cap
         # A threshold of zero admits every vertex from the start.
         self.high_degree: set[int] = (
             set(range(pool_cap)) if degree_threshold == 0 else set()
         )
         self.turn = 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
-
-    def red_copy_if_colored(self, u: int, v: int, pattern: Graph) -> bool:
-        """Would coloring (u, v) red complete a red pattern copy?"""
-        return has_copy_through_edge(self.red_masks, pattern, u, v)
+    def is_unplaced(self, u: int, v: int) -> bool:
+        return not self.masks[u] >> v & 1
 
 
 class ThresholdPainter:
@@ -404,28 +411,29 @@ class _ThresholdPainterSession:
         if u in state.high_degree and v in state.high_degree:
             self.draws += 1
             if float(self.stream.random()) < self.p:
-                if not state.red_copy_if_colored(u, v, self.core):
+                if not has_copy_through_edge(state.red_masks, self.core, u, v):
                     return "red"
         return "blue"
 
 
 class AllBluePainter:
+    draws = 0
+
     def session(self, state: BuilderGameState, stream: np.random.Generator):
-        return _ConstantPainterSession("blue")
+        return self
+
+    def color(self, state: BuilderGameState, u: int, v: int) -> str:
+        return "blue"
 
 
 class AllRedPainter:
+    draws = 0
+
     def session(self, state: BuilderGameState, stream: np.random.Generator):
-        return _ConstantPainterSession("red")
-
-
-class _ConstantPainterSession:
-    def __init__(self, color_name: str):
-        self._color = color_name
-        self.draws = 0
+        return self
 
     def color(self, state: BuilderGameState, u: int, v: int) -> str:
-        return self._color
+        return "red"
 
 
 class RandomBuilder:
@@ -439,23 +447,8 @@ class RandomBuilder:
     def session(self, state: BuilderGameState, stream: np.random.Generator):
         if self.pool_size > state.pool_cap:
             raise ValueError("builder pool exceeds the game's vertex cap")
-        return _RandomBuilderSession(self.pool_size, stream)
-
-
-class _RandomBuilderSession:
-    def __init__(self, pool_size: int, stream: np.random.Generator):
-        self.pool = list(combinations(range(pool_size), 2))
-        self.stream = stream
-
-    def place(self, state: BuilderGameState) -> tuple[int, int] | None:
-        pool = self.pool
-        if not pool:
-            return None
-        i = int(self.stream.integers(len(pool)))
-        pair = pool[i]
-        pool[i] = pool[-1]
-        pool.pop()
-        return pair
+        pairs = combinations(range(self.pool_size), 2)
+        return _ShuffledPoolSession(pairs, stream, state.is_unplaced)
 
 
 class PumpBuilder:
@@ -489,21 +482,7 @@ class PumpBuilder:
             if pair not in seen:
                 seen.add(pair)
                 plan.append(pair)
-        return _PlannedBuilderSession(plan)
-
-
-class _PlannedBuilderSession:
-    def __init__(self, plan: list[tuple[int, int]]):
-        self.plan = plan
-        self.cursor = 0
-
-    def place(self, state: BuilderGameState) -> tuple[int, int] | None:
-        while self.cursor < len(self.plan):
-            pair = self.plan[self.cursor]
-            self.cursor += 1
-            if not state.has_edge(*pair):
-                return pair
-        return None
+        return _PlanCursorSession(plan, state.is_unplaced)
 
 
 def run_online_ramsey(
@@ -540,14 +519,14 @@ def run_online_ramsey(
     turns: list[TurnRecord] = []
     outcome = "turn-cap"
     for _ in range(turn_cap):
-        pair = bsession.place(state)
+        pair = bsession.next_pair(state)
         if pair is None:
             outcome = "exhausted"
             break
         u, v = pair
         if u == v or not (0 <= u < pool_cap and 0 <= v < pool_cap):
             raise RuleViolation(f"turn {state.turn}: invalid vertex pair {pair}")
-        if state.has_edge(u, v):
+        if not state.is_unplaced(u, v):
             raise RuleViolation(f"turn {state.turn}: duplicate edge {pair}")
         state.masks[u] |= 1 << v
         state.masks[v] |= 1 << u
@@ -566,17 +545,13 @@ def run_online_ramsey(
         side[u] |= 1 << v
         side[v] |= 1 << u
 
-        state.degree[u] += 1
-        state.degree[v] += 1
         for w in (u, v):
-            if state.degree[w] >= threshold:
+            if state.masks[w].bit_count() >= threshold:
                 state.high_degree.add(w)
         state.turn += 1
         if won:
             break
 
-    red_edges = tuple(t.pair for t in turns if t.action == "red")
-    blue_edges = tuple(t.pair for t in turns if t.action == "blue")
     return GameTranscript(
         game="builder",
         params=(
@@ -591,7 +566,4 @@ def run_online_ramsey(
         ),
         turns=tuple(turns),
         outcome=outcome,
-        final_edges=tuple(sorted(t.pair for t in turns)),
-        final_red=red_edges,
-        final_blue=blue_edges,
     )

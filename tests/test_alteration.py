@@ -9,6 +9,7 @@ from alteration_lab.alteration import (
     ramsey_certificate,
     refined_alteration,
 )
+from alteration_lab import copies
 from alteration_lab.copies import enumerate_copies, k_set_stats
 from alteration_lab.graphs import Graph, complete_graph, cycle_graph
 from alteration_lab.randomness import RandomSource, sample_gnp
@@ -55,6 +56,30 @@ def test_disjoint_collection_examples():
     assert degrees == [1, 1, 1, 3]  # a 3-star
     assert disjoint_collection_alteration(C5, K3).output_graph == C5
     assert out.method == "disjoint-collection"
+
+
+def test_disjoint_collection_builds_only_chosen_copies(monkeypatch):
+    host = sample_gnp(14, 0.5, RandomSource(8).stream("host"))
+    every_copy = enumerate_copies(host, K3).copies
+    built = []
+    real_copy = copies.Copy
+
+    def counting_copy(**fields):
+        built.append(fields)
+        return real_copy(**fields)
+
+    monkeypatch.setattr(copies, "Copy", counting_copy)
+    out = disjoint_collection_alteration(host, K3)
+    assert 0 < len(built) == len(out.collection) < len(every_copy)
+    # The collection is the in-order edge-disjoint scan of the canonical copies.
+    used: set = set()
+    chosen = []
+    for c in every_copy:
+        if used.isdisjoint(c.edges):
+            used |= c.edges
+            chosen.append(c)
+    assert out.collection == tuple(chosen)
+    assert out.removed == frozenset(used)
 
 
 def test_removal_nesting_on_k4():

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from alteration_lab.cli import main
@@ -232,3 +233,24 @@ def test_r_flag_validation(tmp_path):
     )
     assert result.exit_code != 0
     assert "disagrees" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        ("tail --n 6 --p 1.5", 2, "p must lie in [0, 1], got 1.5"),
+        ("tail --n 5 --k-size 8 --p 0.5 --trials 10", 2, "K contains vertices outside 0..4"),
+        ("concentration --pattern K3 --k 2", 2, "k must be at least 3, got 2"),
+        ("rps --pattern K3 --k 6 --n 10 --p 2", 2, "p override must lie in [0, 1], got 2.0"),
+        ("witness --k 50 --n 10 --p 0.3", 2, "k=50 exceeds n=10"),
+        ("builder-game --pattern K3 --k 1", 2, "k must be at least 3, got 1"),
+        ("witness --k 5 --n 10 --p 0.9 --delta 1", 1, "infeasible planting: v_H*t = 3*3 = 9 exceeds k = 5"),
+        ("tail --n 10 --p 0.3 --cap 3", 1, "36 packing members exceed cap 3"),
+        ("concentration --pattern K3 --k 40 --n 2000 --p 0.5 --trials 100", 1, "estimated 2.00e+08 sampled cells"),
+    ],
+)
+def test_driver_input_errors_show_without_traceback(args, code, message):
+    result = CliRunner().invoke(main, args.split(), catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert f"Error: {message}" in result.output
+    assert ("Usage:" in result.output) == (code == 2)

@@ -157,7 +157,7 @@ def test_graph_only_experiments_reject_hypergraph_patterns():
     for call in (
         lambda: _copy_count_trial(params, 0),
         lambda: _rps_trial(params, "random", 1000, 0),
-        lambda: _builder_trial(params, "pump", 10, 10, core.edges, core.n, 0),
+        lambda: _builder_trial(params, "pump", 10, 10, core, 0),
         lambda: run_copy_count_experiment(params),
         lambda: run_game_experiment("rps", params),
     ):
@@ -288,12 +288,13 @@ def test_tail_check_matches_reference():
     for pattern in (K3, C4):
         for n in range(6, 11):
             for p in (0.3, 0.5, 1.0):
-                # At p = 1 K holds a vertex outside the host, which meets no copy.
-                k_set = {0.3: range(4), 0.5: range(n // 2), 1.0: [0, 2, n + 1]}[p]
+                k_set = {0.3: range(4), 0.5: range(n // 2), 1.0: [0, 2, n - 1]}[p]
                 result = run_tail_check(n, pattern, k_set, p, trials=60, seed=n)
                 summary, rows = reference_tail_check(n, pattern, k_set, p, trials=60, seed=n)
                 assert dumps(result.summary) == dumps(summary)
                 assert dumps(result.plot_rows) == dumps(rows)
+            with pytest.raises(ValueError, match="outside"):
+                run_tail_check(n, pattern, [0, 2, n + 1], 1.0, trials=60, seed=n)
 
 
 def test_packing_audit_and_tail_check_build_no_copies(monkeypatch):

@@ -73,7 +73,7 @@ def test_rps_rule_violation_on_bad_proposer():
     class LyingProposer:
         def session(self, state, stream):
             class Session:
-                def propose(self, state):
+                def next_pair(self, state):
                     return None  # claims exhaustion immediately
 
             return Session()
@@ -86,7 +86,7 @@ def test_rps_rule_violation_on_repeated_pair():
     class StubbornProposer:
         def session(self, state, stream):
             class Session:
-                def propose(self, state):
+                def next_pair(self, state):
                     return (0, 1)
 
             return Session()
@@ -134,7 +134,7 @@ def test_builder_duplicate_edge_violation():
     class RepeatBuilder:
         def session(self, state, stream):
             class Session:
-                def place(self, state):
+                def next_pair(self, state):
                     return (0, 1)
 
             return Session()

@@ -16,7 +16,25 @@ import pytest
 from click.testing import CliRunner
 
 from alteration_lab.cli import main
-from alteration_lab.randomness import RandomSource, sample_gnp
+from alteration_lab.density import minimal_balanced_core
+from alteration_lab.games import (
+    AllBluePainter,
+    AllRedPainter,
+    DenseFirstProposer,
+    FixedDecider,
+    PumpBuilder,
+    RandomBuilder,
+    RandomDecider,
+    RandomLegalProposer,
+    ThresholdPainter,
+    builder_final_graphs,
+    coupled_rps_check,
+    rps_final_graph,
+    run_online_ramsey,
+    run_rps,
+)
+from alteration_lab.graphs import Graph, complete_graph, cycle_graph
+from alteration_lab.randomness import RandomSource, derive_labels, sample_gnp
 
 DRIVERS = {
     "concentration": (
@@ -146,3 +164,57 @@ def test_host_command_digests(name, host_file, tmp_path):
         del summary["method"]
         files = {"stdout": json.dumps(summary, sort_keys=True).encode(), out.name: out.read_bytes()}
     assert digest(files) == expected
+
+
+GAME_PATTERNS = {
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+}
+GAMES_DIGEST = "f9c7c4cf1959e005634a1c10a47724ef4c02465fdb09a337a472f284138eaaec"
+
+
+def _transcript(t) -> list:
+    if t.game == "rps":
+        graphs = [rps_final_graph(t).edges]
+    else:
+        graphs = [g.edges for g in builder_final_graphs(t)]
+    return [
+        t.game,
+        [[k, v] for k, v in t.params],
+        [[turn.pair, turn.action, turn.draws] for turn in t.turns],
+        t.outcome,
+        t.final_edges,
+        graphs,
+    ]
+
+
+def test_game_transcript_digest():
+    """Every built-in proposer x decider and builder x painter, and the
+    coupling report of each proposer, over a seeded grid: the games'
+    turns, final graphs and witnesses must not change by a byte."""
+    rows = []
+    for seed in range(6):
+        for n in (5, 9, 14):
+            for name, pattern in GAME_PATTERNS.items():
+                rng = RandomSource(seed)
+                proposers = (RandomLegalProposer(), DenseFirstProposer())
+                for proposer in proposers:
+                    for decider in (RandomDecider(0.4), FixedDecider(True), FixedDecider(False)):
+                        rows.append(_transcript(run_rps(n, pattern, proposer, decider, rng, seed)))
+                    labels = derive_labels(n, rng)
+                    report = coupled_rps_check(n, pattern, proposer, 0.5, labels, rng, seed)
+                    rows.append([
+                        report.game_graph.edges,
+                        report.random_graph.edges,
+                        [report.subset_ok, report.difference_covered_ok],
+                        [[e, c.sort_key() if c else None] for e, c in report.difference_witnesses],
+                    ])
+                k = max(2, n // 2)
+                core = minimal_balanced_core(pattern)
+                for builder in (RandomBuilder(n), PumpBuilder(k)):
+                    for painter in (ThresholdPainter(0.6, core), AllBluePainter(), AllRedPainter()):
+                        t = run_online_ramsey(pattern, k, builder, painter, 3 * n, rng, seed, pool_cap=n)
+                        rows.append(_transcript(t))
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GAMES_DIGEST
