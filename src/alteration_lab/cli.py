@@ -99,7 +99,15 @@ class _Group(click.Group):
 def main(ctx: click.Context, config: str | None) -> None:
     """Laboratory for pattern-free graph construction by random-graph alteration."""
     if config:
-        ctx.default_map = json.loads(Path(config).read_text(encoding="utf-8"))
+        try:
+            defaults = json.loads(Path(config).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise click.BadParameter(f"not a JSON file: {exc}", param_hint="'--config'") from exc
+        if not (isinstance(defaults, dict) and all(isinstance(v, dict) for v in defaults.values())):
+            raise click.BadParameter(
+                "must hold a JSON object of per-subcommand objects", param_hint="'--config'"
+            )
+        ctx.default_map = defaults
 
 
 @main.command()

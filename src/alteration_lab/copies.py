@@ -5,7 +5,10 @@ its edge set (plus its vertex set, which only matters for patterns with
 isolated vertices).
 
 One bitmask search, driven by a PatternPlan compiled once per pattern,
-both enumerates copies and answers whether a copy passes through an edge.
+enumerates copies, answers whether a copy passes through an edge, and
+keeps the closed-pair record of a growing graph (ClosedPairs): the pairs
+whose addition would complete a copy, updated by one search per accepted
+edge and read by the propose/decide game with two bit tests.
 Enumeration collects its maps in one flat int list for a CopyIndex.  The
 index keeps copies as int arrays over the host's edge numbering (vertex
 images and edge ids per copy) and derives from them, with numpy, the
@@ -177,6 +180,16 @@ class CopyIndex:
             for vs, es in zip(self.images[rows].tolist(), self.edge_ids[rows].tolist())
         )
 
+    def first_copies(self, ids: Sequence[int]) -> list[Copy | None]:
+        """The first copy in canonical order through each given host edge id,
+        or None where no copy passes; only those Copy objects are built."""
+        through, at = np.unique(self.edge_ids[self.order].ravel(), return_index=True)
+        first = np.full(self.host.num_edges, -1)
+        first[through] = self.order[at // self.pattern.num_edges]
+        rows = first[list(ids)]
+        built = iter(self._copies_at(rows[rows >= 0]))
+        return [next(built) if row >= 0 else None for row in rows.tolist()]
+
     @cached_property
     def coverage(self) -> dict[EdgeTuple, tuple[int, ...]]:
         """Each covered edge mapped to the ids of the copies through it."""
@@ -232,7 +245,7 @@ class PatternPlan:
     bound: tuple[int, ...]
 
 
-def _stop(images: list[int]) -> bool:
+def _stop(images: list[int], last: int) -> bool:
     return True
 
 
@@ -241,21 +254,23 @@ def _search(plan: PatternPlan, table, allowed: Sequence[int], leaf) -> bool:
 
     table[key] masks the host vertices completing the key's vertices to a
     host edge.  allowed[i] masks the host vertices position i may take; a
-    single bit pins it.  leaf gets the images of each complete map and
-    returns True to stop.
+    single bit pins it.  The last position is read as a mask, not
+    enumerated: leaf gets the images of the earlier positions and the
+    nonzero mask of host vertices the last position may take, and returns
+    True to stop.
     """
-    n = len(plan.order)
+    last = len(plan.order) - 1
     keys, lower, bound = plan.keys, plan.lower, plan.bound
-    images = [0] * n
+    images = [0] * (last + 1)
 
     def extend(pos: int, used: int) -> bool:
-        if pos == n:
-            return leaf(images)
         cand = allowed[pos] & ~used
         for key in keys[pos]:
             cand &= table[key(images)]
         for p in lower[pos]:
             cand &= -(2 << images[p])  # the vertices above images[p]
+        if pos == last:
+            return cand != 0 and leaf(images, cand)
         count = cand.bit_count()
         need = bound[pos]
         while count >= need:
@@ -305,7 +320,9 @@ def _visit_order(
 
 @lru_cache(maxsize=256)
 def _compile(
-    structure: Graph | UniformHypergraph, prefix: tuple[int, ...] = ()
+    structure: Graph | UniformHypergraph,
+    prefix: tuple[int, ...] = (),
+    held: tuple[int, ...] = (),
 ) -> PatternPlan:
     """Plan a pattern's search with the prefix placed first.
 
@@ -313,6 +330,8 @@ def _compile(
     fixing it.  Orbits come from the search run from the pattern into
     itself: w is in the orbit of order[t] under the automorphisms fixing
     order[:t] exactly when some map fixing order[:t] sends order[t] to w.
+    With held vertices, the group is the automorphisms keeping them
+    setwise.
     """
     n = structure.n
     order = _visit_order(structure, prefix)
@@ -330,11 +349,12 @@ def _compile(
     )
 
     table = _completion_table(structure)
+    free = _held_masks(n, held, order)
     lower: list[list[int]] = [[] for _ in range(n)]
     for t in range(len(prefix), n):
         fixed = [1 << v for v in order[:t]]
         for w in order[t + 1 :]:
-            if _search(plain, table, fixed + [1 << w] + [(1 << n) - 1] * (n - t - 1), _stop):
+            if _search(plain, table, fixed + [1 << w & free[t]] + free[t + 1 :], _stop):
                 lower[pos[w]].append(t)
 
     # Position i needs a candidate for itself and for each later position
@@ -350,27 +370,112 @@ def _compile(
     return replace(plain, lower=tuple(map(tuple, lower)), bound=bound)
 
 
-@lru_cache(maxsize=128)
-def _rooted_plans(pattern: Graph) -> tuple[PatternPlan, ...]:
-    """One plan per orbit of Aut(H) on oriented edges, pinning that edge first.
+def _held_masks(n: int, held: tuple[int, ...], order: Sequence[int]) -> list[int]:
+    """Per position of order, where an automorphism keeping the held
+    vertices setwise may send its vertex: held onto held, the rest onto the
+    rest."""
+    keep = sum(1 << w for w in held)
+    rest = ((1 << n) - 1) ^ keep
+    return [keep if v in held else rest for v in order]
 
-    A copy through uv maps some oriented pattern edge onto (u, v), and an
-    automorphism moves that edge to its orbit's representative.  When an
-    automorphism swaps an edge's ends, one orientation covers both.
+
+@lru_cache(maxsize=256)
+def _edge_orbit_plans(
+    structure: Graph, held: tuple[int, ...] = (), oriented: bool = True
+) -> tuple[PatternPlan, ...]:
+    """One plan per orbit of the automorphisms keeping held setwise on the
+    (oriented) edges of a graph, pinning the orbit's first edge first.
+
+    A map sending some edge onto a host pair (u, v) can be moved by such an
+    automorphism to send that edge's orbit representative there instead.
+    When an automorphism swaps an edge's ends, one orientation covers both.
     """
-    oriented = [e for a, b in pattern.edges for e in ((a, b), (b, a))]
-    free = [(1 << pattern.n) - 1] * (pattern.n - 2)
+    edges = [e for a, b in structure.edges for e in ((a, b), (b, a))]
     plans: list[PatternPlan] = []
     reached: set[tuple[int, int]] = set()
-    for root in oriented:
-        if root not in reached:
-            plan = _compile(pattern, root)
-            plans.append(plan)
-            reached.update(
-                [(x, y) for x, y in oriented if (x, y) not in reached
-                 and _search(plan, pattern.adjacency_masks, [1 << x, 1 << y] + free, _stop)]
-            )
+    for x, y in edges:
+        if (x, y) in reached:
+            continue
+        plan = _compile(structure, (x, y), held)
+        plans.append(plan)
+        free = _held_masks(structure.n, held, plan.order)
+        for x2, y2 in edges:
+            allowed = [1 << x2 & free[0], 1 << y2 & free[1]] + free[2:]
+            if (x2, y2) not in reached and _search(plan, structure.adjacency_masks, allowed, _stop):
+                reached.update([(x2, y2)] if oriented else [(x2, y2), (y2, x2)])
     return tuple(plans)
+
+
+@lru_cache(maxsize=128)
+def _closing_plans(pattern: Graph) -> tuple[tuple[PatternPlan, int, int], ...]:
+    """Plans finding the pairs an added edge closes, each with the earlier
+    and the later position of the pattern edge's ends.
+
+    A pair xy is closed when some map of H sends a pattern edge e = ab onto
+    xy and H - e into the graph.  Maps differing by an automorphism close
+    the same pairs, so e runs over one edge per orbit of Aut(H), and the
+    added edge over one oriented edge of H - e per orbit of the
+    automorphisms of H keeping {a, b} setwise; those automorphisms also set
+    each plan's conditions.  When a plan places a or b last, that end's
+    candidate mask is the set of partners closed with the other end.
+    """
+    plans = []
+    for rep in _edge_orbit_plans(pattern, oriented=False):
+        ends = rep.order[:2]
+        for plan in _edge_orbit_plans(pattern.without_edges([ends]), held=ends):
+            plans.append((plan, *sorted(map(plan.order.index, ends))))
+    return tuple(plans)
+
+
+class ClosedPairs:
+    """The H-free process's record of closed pairs in a growing graph.
+
+    masks holds the graph's adjacency bitmasks.  Bit y of closed[x] set
+    means adding xy would complete a copy of the pattern through xy; a pair
+    may be recorded under either end, so is_closed reads both.  add(u, v)
+    adds an edge and closes, for each pattern edge e, the image of e under
+    every map of H - e through uv.  A graph only grows, so a closed pair
+    stays closed.  With one pattern edge, every pair is closed from the
+    start once the host has room for the pattern.
+    """
+
+    def __init__(self, pattern: Graph, n: int):
+        if pattern.num_edges == 0:
+            raise ValueError("pattern must have at least one edge")
+        full = (1 << n) - 1
+        start = pattern.num_edges == 1 and n >= pattern.n
+        self.masks: list[int] = [0] * n
+        self.closed: list[int] = [full ^ 1 << x if start else 0 for x in range(n)]
+        self._free = [full] * (pattern.n - 2)
+        self._plans = [
+            (plan, self._closer(first, second, second == pattern.n - 1))
+            for plan, first, second in _closing_plans(pattern)
+        ]
+
+    def _closer(self, first: int, second: int, masked: bool):
+        """The leaf closing the images of positions first and second; when
+        second is the last position, its mask closes all its candidates."""
+        closed = self.closed
+
+        def close_mask(images: list[int], last: int) -> bool:
+            closed[images[first]] |= last
+            return False
+
+        def close_pair(images: list[int], last: int) -> bool:
+            closed[images[first]] |= 1 << images[second]
+            return False
+
+        return close_mask if masked else close_pair
+
+    def add(self, u: int, v: int) -> None:
+        self.masks[u] |= 1 << v
+        self.masks[v] |= 1 << u
+        allowed = [1 << u, 1 << v] + self._free
+        for plan, close in self._plans:
+            _search(plan, self.masks, allowed, close)
+
+    def is_closed(self, u: int, v: int) -> bool:
+        return bool((self.closed[u] >> v | self.closed[v] >> u) & 1)
 
 
 def enumerate_copies(
@@ -395,8 +500,12 @@ def enumerate_copies(
     plan = _compile(pattern)
     flat: list[int] = []
 
-    def keep(images: list[int]) -> bool:
-        flat.extend(images)
+    def keep(images: list[int], last: int) -> bool:
+        while last:
+            low = last & -last
+            images[-1] = low.bit_length() - 1
+            flat.extend(images)
+            last ^= low
         return False
 
     _search(plan, _completion_table(host), [(1 << host.n) - 1] * pattern.n, keep)
@@ -412,14 +521,15 @@ def has_copy_through_edge(
     pattern copy through (u, v)?
 
     masks is read only and may or may not already contain the edge.  Used
-    by the greedy alteration scan and the game engines, where graphs grow
-    one edge at a time; with pattern K_k it is the blue-clique check.
+    where a graph is asked about once per edge: the greedy alteration scan
+    and the builder/painter game's win and red-core checks; with pattern
+    K_k it is the blue-clique check.
     """
     table = list(masks)
     table[u] |= 1 << v
     table[v] |= 1 << u
     allowed = [1 << u, 1 << v] + [(1 << len(masks)) - 1] * (pattern.n - 2)
-    return any(_search(plan, table, allowed, _stop) for plan in _rooted_plans(pattern))
+    return any(_search(plan, table, allowed, _stop) for plan in _edge_orbit_plans(pattern))
 
 
 def _validate_k(host: Graph | UniformHypergraph, k_set: Iterable[int]) -> frozenset[int]:

@@ -9,9 +9,12 @@ Builder/painter game: Builder places an edge, Painter immediately colors
 it red or blue.  Builder wins on a red pattern copy or a blue clique of
 the target size; the engine detects both exactly through the newest edge.
 
-Engine graphs are adjacency bitmasks, and every rule check is one
-copies.has_copy_through_edge query; a blue clique is a copy of K_k.  A
-game's turns are the one record of its edges.
+Engine graphs are adjacency bitmasks.  The propose/decide state keeps
+the graph's copies.ClosedPairs record, updated once per accepted edge, so
+a legality check is two bit tests and no proposal needs a search.  The
+builder/painter checks are copies.has_copy_through_edge queries, one per
+placed edge; a blue clique is a copy of K_k.  A game's turns are the one
+record of its edges.
 
 Strategies hold only parameters; strategy.session(...) makes the per-game
 player.  Proposer and builder sessions answer next_pair(state) with a pair,
@@ -34,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .copies import Copy, enumerate_copies, has_copy_through_edge
+from .copies import ClosedPairs, Copy, enumerate_copies, has_copy_through_edge
 from .graphs import Graph, canonical_pair, complete_graph
 from .randomness import EdgeLabelTable, RandomSource
 
@@ -127,13 +130,17 @@ class _PlanCursorSession:
 
 
 class RpsState:
-    """Engine-owned game state; strategies read it but must not mutate it."""
+    """Engine-owned game state; strategies read it but must not mutate it.
+
+    record is the closed-pair record of the accepted graph; proposed[x]
+    masks the pairs proposed with x.
+    """
 
     def __init__(self, n: int, pattern: Graph):
         self.n = n
         self.pattern = pattern
-        self.masks: list[int] = [0] * n
-        self.proposed: set[tuple[int, int]] = set()
+        self.record = ClosedPairs(pattern, n)
+        self.proposed: list[int] = [0] * n
         self.turn = 0
         self.decisions: list[bool] = []
 
@@ -141,23 +148,19 @@ class RpsState:
         """Unproposed and would not complete a pattern copy if accepted."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        pair = canonical_pair(u, v)
-        if pair in self.proposed:
-            return False
-        return not has_copy_through_edge(self.masks, self.pattern, u, v)
+        return not (self.proposed[u] >> v & 1 or self.record.is_closed(u, v))
 
     def any_legal_pair(self) -> tuple[int, int] | None:
-        for pair in combinations(range(self.n), 2):
-            if pair not in self.proposed and self.is_legal(*pair):
-                return pair
+        for x, y in combinations(range(self.n), 2):
+            if not (self.proposed[x] >> y & 1 or self.record.is_closed(x, y)):
+                return x, y
         return None
 
     def _apply(self, u: int, v: int, accept: bool) -> None:
-        pair = canonical_pair(u, v)
-        self.proposed.add(pair)
+        self.proposed[u] |= 1 << v
+        self.proposed[v] |= 1 << u
         if accept:
-            self.masks[u] |= 1 << v
-            self.masks[v] |= 1 << u
+            self.record.add(u, v)
         self.decisions.append(accept)
         self.turn += 1
 
@@ -166,8 +169,8 @@ class RandomLegalProposer:
     """Proposes a uniformly random legal unproposed pair.
 
     Once a pair becomes illegal it stays illegal (the graph only grows),
-    so rejected candidates are dropped permanently and each pair is
-    legality-checked O(1) times over the whole game.
+    so rejected candidates are dropped permanently; each legality check is
+    two bit tests against the state's closed-pair record.
     """
 
     def session(self, state: RpsState, stream: np.random.Generator):
@@ -260,8 +263,6 @@ def run_rps(
     Each (pair, decision) is revealed to both players after the turn via
     the shared state.
     """
-    if pattern.num_edges == 0:
-        raise ValueError("pattern must have at least one edge")
     state = RpsState(n, pattern)
     psession = proposer.session(state, rng.stream("rps-proposer", game_index))
     dsession = decider.session(rng.stream("rps-decider", game_index))
@@ -334,22 +335,14 @@ def coupled_rps_check(
     random_graph = labels.threshold_graph(p)
     subset_ok = game_graph.edge_set <= random_graph.edge_set
 
-    index = enumerate_copies(random_graph, pattern) if random_graph.num_edges else None
-    witnesses = []
-    covered_ok = True
-    for e in sorted(random_graph.edge_set - game_graph.edge_set):
-        copy = None
-        if index is not None and e in index.coverage:
-            copy = index.copies[index.coverage[e][0]]
-        else:
-            covered_ok = False
-        witnesses.append((e, copy))
+    missing = [i for i, e in enumerate(random_graph.edges) if e not in game_graph.edge_set]
+    witnesses = enumerate_copies(random_graph, pattern).first_copies(missing) if missing else []
     return CouplingReport(
         game_graph=game_graph,
         random_graph=random_graph,
         subset_ok=subset_ok,
-        difference_covered_ok=covered_ok,
-        difference_witnesses=tuple(witnesses),
+        difference_covered_ok=None not in witnesses,
+        difference_witnesses=tuple((random_graph.edges[i], c) for i, c in zip(missing, witnesses)),
     )
 
 

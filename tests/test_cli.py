@@ -180,6 +180,25 @@ def test_malformed_files_are_usage_errors(tmp_path):
     assert "line 2" in result.output
 
 
+def test_malformed_config_is_a_usage_error(tmp_path):
+    runner = CliRunner()
+    for name, text in (
+        ("bad.json", "{bad"),
+        ("list.json", "[1, 2]"),
+        ("inner.json", '{"density": 5}'),
+        ("binary.json", b"\xff\xfe{"),
+    ):
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        result = runner.invoke(main, ["--config", str(path), "density", "K3"])
+        assert result.exit_code == 2, (name, result.output)
+        assert "Invalid value for '--config'" in result.output
+        assert "Traceback" not in result.output
+
+
 def test_json_missing_keys_are_usage_errors(tmp_path):
     runner = CliRunner()
     for name, text, key in (

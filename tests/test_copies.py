@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from alteration_lab import copies
 from alteration_lab.copies import (
     CopyIndex,
     GlobalCopyStats,
@@ -338,6 +339,19 @@ def test_has_copy_through_edge_clique_in_turan_graph_is_fast():
     start = time.perf_counter()
     assert not has_copy_through_edge(list(host.adjacency_masks), complete_graph(12), u, v)
     assert time.perf_counter() - start < 1.0
+
+
+def test_closing_plans_for_k12_compile_fast():
+    copies._compile.cache_clear()
+    copies._edge_orbit_plans.cache_clear()
+    copies._closing_plans.cache_clear()
+    start = time.perf_counter()
+    plans = copies._closing_plans(complete_graph(12))
+    assert time.perf_counter() - start < 1.0
+    # K12 has one edge orbit; K12 - ab has three orbits of oriented edges
+    # under the automorphisms keeping {a, b}: a/b to the rest, the rest to
+    # a/b, and inside the rest.
+    assert len(plans) == 3
 
 
 def test_hypergraph_k_set_stats_complete_host():

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
-from alteration_lab.copies import enumerate_copies
+from alteration_lab import copies, games
+from alteration_lab.copies import ClosedPairs, enumerate_copies, has_copy_through_edge
 from alteration_lab.density import minimal_balanced_core
 from alteration_lab.games import (
     AllBluePainter,
@@ -12,6 +15,7 @@ from alteration_lab.games import (
     RandomBuilder,
     RandomDecider,
     RandomLegalProposer,
+    RpsState,
     RuleViolation,
     ThresholdPainter,
     builder_final_graphs,
@@ -20,13 +24,14 @@ from alteration_lab.games import (
     run_online_ramsey,
     run_rps,
 )
-from alteration_lab.graphs import Graph, complete_graph, cycle_graph
+from alteration_lab.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
 from alteration_lab.randomness import RandomSource, derive_labels
 
 from oracles import brute_has_clique
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
+PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def test_rps_always_accept_on_three_vertices_gives_path():
@@ -122,6 +127,88 @@ def test_coupling_holds_over_seeded_batch():
             n, pattern, RandomLegalProposer(), 0.2 + (seed % 5) * 0.1, labels, RandomSource(seed)
         )
         assert report.subset_ok and report.difference_covered_ok
+
+
+# Every pattern shape the closed-pair record must handle: one edge (with and
+# without a spare vertex), isolated vertices, pendant edges, several edge
+# orbits, disconnected and dense patterns.
+RECORD_PATTERNS = (
+    Graph(2, [(0, 1)]), Graph(3, [(0, 1)]), Graph(4, [(0, 1), (1, 2)]),
+    K3, C4, PAW, Graph(4, [(0, 1), (0, 2), (0, 3)]), Graph(4, [(0, 1), (2, 3)]),
+    complete_multipartite([2, 3]), cycle_graph(5), complete_graph(4), complete_graph(5),
+)
+
+
+def test_closed_pair_record_matches_rooted_queries():
+    # Hosts grown one edge at a time, copies of H allowed: after each edge,
+    # the whole record must agree with a rooted query on every non-edge.
+    src = RandomSource(23)
+    for i, pattern in enumerate(RECORD_PATTERNS):
+        for n in (2, 3, 5, 8, 10):
+            rng = src.stream("grow", 100 * i + n)
+            pairs = list(combinations(range(n), 2))
+            order = rng.permutation(len(pairs))[: int(len(pairs) * 0.6) + 1]
+            record = ClosedPairs(pattern, n)
+            for step in [None, *order.tolist()]:
+                if step is not None:
+                    record.add(*pairs[step])
+                for u, v in pairs:
+                    if not record.masks[u] >> v & 1:
+                        expected = has_copy_through_edge(record.masks, pattern, u, v)
+                        assert record.is_closed(u, v) == expected, (pattern.edges, n, u, v)
+
+
+def test_is_legal_matches_rooted_search(monkeypatch):
+    is_legal = RpsState.is_legal
+    asked = []
+
+    def checked(state, u, v):
+        legal = is_legal(state, u, v)
+        if 0 <= u < state.n and 0 <= v < state.n and u != v and not state.proposed[u] >> v & 1:
+            asked.append((u, v))
+            assert legal != has_copy_through_edge(state.record.masks, state.pattern, u, v)
+        return legal
+
+    monkeypatch.setattr(RpsState, "is_legal", checked)
+    for i, pattern in enumerate(RECORD_PATTERNS):
+        for n in (2, 3, 7, 12, 20):
+            for proposer in (RandomLegalProposer(), DenseFirstProposer()):
+                for decider in (RandomDecider(0.5), FixedDecider(True)):
+                    run_rps(n, pattern, proposer, decider, RandomSource(i + n), i)
+    assert len(asked) > 10_000
+
+
+def test_propose_decide_games_make_no_rooted_search(monkeypatch):
+    def rooted(*args):
+        raise AssertionError("rooted search in a propose/decide game")
+
+    monkeypatch.setattr(games, "has_copy_through_edge", rooted)
+    labels = derive_labels(12, RandomSource(2))
+    for pattern in (K3, C4, PAW):
+        for proposer in (RandomLegalProposer(), DenseFirstProposer()):
+            run_rps(12, pattern, proposer, RandomDecider(0.5), RandomSource(2))
+            assert coupled_rps_check(12, pattern, proposer, 0.5, labels, RandomSource(2)).ok
+
+
+def test_coupled_check_builds_only_witness_copies(monkeypatch):
+    labels = derive_labels(14, RandomSource(6))
+    index = enumerate_copies(labels.threshold_graph(0.6), K3)
+    built = []
+    real_copy = copies.Copy
+
+    def counting_copy(**fields):
+        built.append(fields)
+        return real_copy(**fields)
+
+    monkeypatch.setattr(copies, "Copy", counting_copy)
+    report = coupled_rps_check(14, K3, RandomLegalProposer(), 0.6, labels, RandomSource(6))
+    witnesses = [c for _, c in report.difference_witnesses if c is not None]
+    assert 0 < len(built) == len(witnesses) < len(index.copies)
+    # Each witness is the first canonical copy through its edge.
+    assert report.difference_witnesses == tuple(
+        (e, index.copies[index.coverage[e][0]])
+        for e in sorted(report.random_graph.edge_set - report.game_graph.edge_set)
+    )
 
 
 def test_builder_zero_turn_cap():
