@@ -143,7 +143,7 @@ def ramsey_certificate(
             holds=False,
             status="copy-found",
             independence=None,
-            violating_copy=index.copies[0],
+            violating_copy=index._copies_at(index.order[:1])[0],
         )
     independence = independence_number(graph, budget=budget)
     if not independence.exact:

@@ -389,7 +389,11 @@ def _edge_orbit_plans(
     A map sending some edge onto a host pair (u, v) can be moved by such an
     automorphism to send that edge's orbit representative there instead.
     When an automorphism swaps an edge's ends, one orientation covers both.
+    Every rooted query and closed-pair record compiles here, so this is
+    where a hypergraph pattern is turned away.
     """
+    if not isinstance(structure, Graph):
+        raise TypeError(f"rooted copy queries take graph patterns, got {structure!r}")
     edges = [e for a, b in structure.edges for e in ((a, b), (b, a))]
     plans: list[PatternPlan] = []
     reached: set[tuple[int, int]] = set()

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph, UniformHypergraph
+
+# The subset table holds 2^n counts: 16.8M at 24 vertices, where K24 takes
+# 9.2 s and 163 MB peak on a 2-vCPU machine.  Larger patterns fail fast
+# instead of filling memory.
+_MAX_VERTICES = 24
 
 
 @dataclass(frozen=True)
@@ -34,86 +38,79 @@ class DensityReport:
     uniformity: int
 
 
-def _induced_edge_count(masks: tuple[int, ...], subset: tuple[int, ...]) -> int:
-    mask = 0
-    for v in subset:
-        mask |= 1 << v
-    return sum((masks[v] & mask).bit_count() for v in subset) // 2
+def _edge_counts(pattern: Graph | UniformHypergraph) -> list[int]:
+    """Induced edge count of every vertex subset, indexed by its bitmask.
 
-
-def _graph_candidates(pattern: Graph) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """Yield (subset, induced edge count, num, den) for every density candidate.
-
-    Size-2 subsets contribute only via the single-edge case (value 1/2);
-    larger subsets contribute (e - 1)/(size - 2) whenever they have an edge.
+    e(S) = e(S - v) + (edges at v inside S - v), with v the top vertex of
+    S; an edge lies inside S - v only when v is its top vertex, so each
+    edge is kept under that vertex as the mask of its other vertices.
     """
-    masks = pattern.adjacency_masks
-    for size in range(2, pattern.n + 1):
-        for subset in combinations(range(pattern.n), size):
-            e = _induced_edge_count(masks, subset)
-            if size == 2:
-                if e == 1:
-                    yield subset, e, 1, 2
-            elif e >= 1:
-                yield subset, e, e - 1, size - 2
+    if pattern.n > _MAX_VERTICES:
+        raise ValueError(
+            f"exact density scans all 2^n vertex subsets; a pattern on {pattern.n} "
+            f"vertices exceeds the limit of {_MAX_VERTICES}"
+        )
+    graph = isinstance(pattern, Graph)
+    if graph:
+        masks = pattern.adjacency_masks
+    else:
+        below: list[list[int]] = [[] for _ in range(pattern.n)]
+        for e in pattern.edges:
+            below[e[-1]].append(sum(1 << w for w in e[:-1]))
+    counts = [0]
+    for s in range(1, 1 << pattern.n):
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
+        if graph:
+            counts.append(counts[rest] + (masks[v] & rest).bit_count())
+        else:
+            counts.append(counts[rest] + sum(m & rest == m for m in below[v]))
+    return counts
 
 
-def _hypergraph_candidates(
-    pattern: UniformHypergraph,
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    r = pattern.r
-    edge_masks = []
-    for e in pattern.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        edge_masks.append(m)
-    for size in range(r, pattern.n + 1):
-        for subset in combinations(range(pattern.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            e = sum(1 for em in edge_masks if em & mask == em)
-            if size == r:
-                if e == 1:
-                    yield subset, e, 1, r
-            elif e >= 1:
-                yield subset, e, e - 1, size - r
+def _vertices(s: int) -> tuple[int, ...]:
+    return tuple(v for v in range(s.bit_length()) if s >> v & 1)
 
 
-def _report(pattern: Graph | UniformHypergraph, uniformity: int) -> DensityReport:
-    candidates = (
-        _graph_candidates(pattern)
-        if isinstance(pattern, Graph)
-        else _hypergraph_candidates(pattern)
-    )
-    best_num, best_den = 0, 1
-    witness: tuple[int, ...] = ()
-    for subset, _, num, den in candidates:
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-            witness = subset
+def _precedes(a: int, b: int) -> bool:
+    """Does subset a come before subset b in (size, lexicographic) order?"""
+    if a.bit_count() != b.bit_count():
+        return a.bit_count() < b.bit_count()
+    return bool(a & (a ^ b) & -(a ^ b))  # a holds the lowest differing vertex
 
-    # Strict balancedness: no proper subgraph may attain the maximum.
-    # Only induced subgraphs on proper vertex subsets can tie it.  A proper
-    # spanning subgraph has at most e - 2 edges over n - r, which is less
-    # than the full vertex set's (e - 1)/(n - r) and so than the maximum.
-    strict = True
-    candidates = (
-        _graph_candidates(pattern)
-        if isinstance(pattern, Graph)
-        else _hypergraph_candidates(pattern)
-    )
-    for subset, _, num, den in candidates:
-        if len(subset) < pattern.n and num * best_den == best_num * den:
-            strict = False
-            break
 
+def _candidates(counts: list[int], r: int) -> Iterator[tuple[int, int, int, int]]:
+    """(subset, induced edge count, num, den) of every density candidate.
+
+    Size-r subsets count only as a lone edge (1/r); larger ones count
+    (e - 1)/(size - r) whenever they hold an edge.
+    """
+    for s, e in enumerate(counts):
+        size = s.bit_count()
+        if e and size >= r:
+            yield (s, e, 1, r) if size == r else (s, e, e - 1, size - r)
+
+
+def _report(pattern: Graph | UniformHypergraph, r: int) -> DensityReport:
+    """One walk over the subsets keeps the best ratio and its first subset
+    in (size, lexicographic) order.
+
+    Only induced subgraphs on proper vertex subsets can tie the maximum: a
+    proper spanning subgraph has at most e - 2 edges over n - r, which is
+    less than the full vertex set's (e - 1)/(n - r) and so than the maximum.
+    A proper subset comes before the full set, so the pattern is strictly
+    balanced exactly when the full set is the witness.
+    """
+    best_num, best_den, witness = 0, 1, 0
+    for s, _, num, den in _candidates(_edge_counts(pattern), r):
+        gain = num * best_den - best_num * den
+        if gain > 0 or (gain == 0 and _precedes(s, witness)):
+            best_num, best_den, witness = num, den, s
     return DensityReport(
         value=Fraction(best_num, best_den),
-        witness=witness,
-        strictly_balanced=strict,
-        uniformity=uniformity,
+        witness=_vertices(witness),
+        strictly_balanced=witness == (1 << pattern.n) - 1,
+        uniformity=r,
     )
 
 
@@ -150,21 +147,14 @@ def minimal_balanced_core(pattern: Graph) -> Graph:
     if report.strictly_balanced:
         return pattern
     target = report.value
-    masks = pattern.adjacency_masks
-    candidates: list[tuple[int, tuple, tuple[int, ...]]] = []
-    for subset, e, num, den in _graph_candidates(pattern):
-        if Fraction(num, den) != target:
-            continue
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        if any((masks[v] & mask) == 0 for v in subset):
-            continue
-        candidates.append((e, pattern.edges_inside(subset), subset))
-    # target is attained by some induced subgraph, so candidates is nonempty
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, _, subset = candidates[0]
-    core = pattern.induced(subset, relabel=True)
+    # A subset at the maximum has no vertex isolated inside, as dropping one
+    # would raise its ratio; so its edges fix it, and no two keys tie.
+    cores = [
+        (e, pattern.edges_inside(_vertices(s)), s)
+        for s, e, num, den in _candidates(_edge_counts(pattern), 2)
+        if Fraction(num, den) == target
+    ]
+    core = pattern.induced(_vertices(min(cores)[2]), relabel=True)
     core_report = two_density_report(core)
     if not (core_report.strictly_balanced and core_report.value == target):
         raise RuntimeError(f"the core found for density {target} is not strictly balanced at it")

@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -299,7 +298,6 @@ def _adversarial_k(
 
 
 def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) -> dict:
-    started = time.perf_counter()
     stream = RandomSource(params.seed).stream("concentration", trial)
     host = _sample_host(params, stream)
     indexes = [enumerate_copies(host, pat) for pat in params.patterns]
@@ -359,7 +357,6 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
         "k_sets": rows,
         "all_y_ok": all_y_ok,
         "all_x_ok": all_x_ok,
-        "runtime": time.perf_counter() - started,
     }
 
 

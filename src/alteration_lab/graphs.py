@@ -76,12 +76,12 @@ def _json_fields(obj, kind: str, keys: str) -> list:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction: the edge set, the derived adjacency
-    index and the bitmask view never change.  Safe to share across
+    Immutable after construction: the edge set and the adjacency
+    bitmasks, built on first read, never change.  Safe to share across
     threads.  Duplicate input edges collapse; loops are rejected.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adjacency", "_masks", "_hash")
+    __slots__ = ("n", "edges", "edge_set", "_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -97,11 +97,6 @@ class Graph:
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(canon))
         self.edge_set: frozenset[Edge] = frozenset(self.edges)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._masks: tuple[int, ...] | None = None
         self._hash: int | None = None
 
@@ -124,7 +119,7 @@ class Graph:
         return canonical_pair(u, v) in self.edge_set
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def edges_inside(self, vertices: Iterable[int]) -> tuple[Edge, ...]:
         """Edges with both endpoints in the given vertex set."""
@@ -346,21 +341,26 @@ def tight_path(num_edges: int, r: int) -> UniformHypergraph:
     return UniformHypergraph(n, r, [tuple(range(i, i + r)) for i in range(num_edges)])
 
 
+def _graph_if_2_uniform(h: UniformHypergraph) -> Graph | UniformHypergraph:
+    return h.to_graph() if h.r == 2 else h
+
+
 def pattern_from_name(name: str) -> Graph | UniformHypergraph:
     """Parse a pattern name.
 
     Grammar: ``K5`` (clique), ``C5`` (cycle), ``P4`` (path), ``K2,2,3``
     (complete multipartite), ``K4r3`` (complete r-uniform), ``TP2r3``
-    (r-uniform tight path with the given number of edges).
+    (r-uniform tight path with the given number of edges).  An r=2 name
+    gives the Graph.
     """
     s = name.strip()
     try:
         if s.startswith("TP") and "r" in s:
             m_str, r_str = s[2:].split("r", 1)
-            return tight_path(int(m_str), int(r_str))
+            return _graph_if_2_uniform(tight_path(int(m_str), int(r_str)))
         if s.startswith("K") and "r" in s and "," not in s:
             n_str, r_str = s[1:].split("r", 1)
-            return complete_uniform(int(n_str), int(r_str))
+            return _graph_if_2_uniform(complete_uniform(int(n_str), int(r_str)))
         if s.startswith("K") and "," in s:
             return complete_multipartite([int(t) for t in s[1:].split(",")])
         if s.startswith("K"):
@@ -375,7 +375,8 @@ def pattern_from_name(name: str) -> Graph | UniformHypergraph:
 
 
 def load_structure(path_or_name: str, text: str | None = None) -> Graph | UniformHypergraph:
-    """Load a graph or hypergraph from file text, auto-detected by header width."""
+    """Load a graph or hypergraph from file text, auto-detected by header width
+    or an ``r`` key; an r=2 hypergraph loads as the Graph."""
     if text is None:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -385,9 +386,9 @@ def load_structure(path_or_name: str, text: str | None = None) -> Graph | Unifor
     if stripped.startswith("{"):
         obj = json.loads(stripped)
         if "r" in obj:
-            return UniformHypergraph.from_json_obj(obj)
+            return _graph_if_2_uniform(UniformHypergraph.from_json_obj(obj))
         return Graph.from_json_obj(obj)
     header = stripped.splitlines()[0].split()
     if len(header) == 3:
-        return UniformHypergraph.from_text(text)
+        return _graph_if_2_uniform(UniformHypergraph.from_text(text))
     return Graph.from_text(text)

@@ -5,6 +5,8 @@ permutation counting, and subset scans.  The oracles never share code with
 the production paths they audit.  The reference packing audit and tail
 loop are the earlier scans over Copy objects; they reuse copy enumeration,
 the exact independent set and the random streams, not the packing code.
+The reference density report and minimal core are the earlier two-walk
+scan over vertex subsets in (size, lexicographic) order.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterator
 
 from alteration_lab.cliques import max_independent_set
 from alteration_lab.copies import PackingInfeasibleError, PackingReport, enumerate_copies
-from alteration_lab.graphs import Graph, canonical_pair, complete_graph
+from alteration_lab.density import DensityReport
+from alteration_lab.graphs import Graph, UniformHypergraph, canonical_pair, complete_graph
 from alteration_lab.randomness import RandomSource
 
 
@@ -355,66 +359,114 @@ def brute_has_clique(adjacency, vertices, size: int) -> bool:
     return False
 
 
-# -- isomorphism testing for the exhaustive corpus ---------------------
+# -- the two-walk density scan the subset-table pass replaced -----------
 
 
-def wl_colors(graph: Graph, rounds: int = 3) -> tuple[int, ...]:
-    """Stable vertex colors from iterated neighborhood refinement.
+def _induced_edge_count(masks: tuple[int, ...], subset: tuple[int, ...]) -> int:
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    return sum((masks[v] & mask).bit_count() for v in subset) // 2
 
-    Colors are renumbered each round by sorted signature, which keeps them
-    isomorphism-invariant.
+
+def _graph_candidates(pattern: Graph) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Yield (subset, induced edge count, num, den) for every density candidate.
+
+    Size-2 subsets contribute only via the single-edge case (value 1/2);
+    larger subsets contribute (e - 1)/(size - 2) whenever they have an edge.
     """
-    colors = [graph.degree(v) for v in range(graph.n)]
-    for _ in range(rounds):
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in graph.adjacency[v])))
-            for v in range(graph.n)
-        ]
-        relabel = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [relabel[sig] for sig in signatures]
-        if new_colors == colors:
+    masks = pattern.adjacency_masks
+    for size in range(2, pattern.n + 1):
+        for subset in combinations(range(pattern.n), size):
+            e = _induced_edge_count(masks, subset)
+            if size == 2:
+                if e == 1:
+                    yield subset, e, 1, 2
+            elif e >= 1:
+                yield subset, e, e - 1, size - 2
+
+
+def _hypergraph_candidates(
+    pattern: UniformHypergraph,
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    r = pattern.r
+    edge_masks = []
+    for e in pattern.edges:
+        m = 0
+        for v in e:
+            m |= 1 << v
+        edge_masks.append(m)
+    for size in range(r, pattern.n + 1):
+        for subset in combinations(range(pattern.n), size):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            e = sum(1 for em in edge_masks if em & mask == em)
+            if size == r:
+                if e == 1:
+                    yield subset, e, 1, r
+            elif e >= 1:
+                yield subset, e, e - 1, size - r
+
+
+def reference_density_report(pattern: Graph | UniformHypergraph, uniformity: int) -> DensityReport:
+    """The density report as two walks over (size, lexicographic) subsets:
+    the first finds the maximum and its first subset, the second looks for
+    a proper subset tying it."""
+    candidates = (
+        _graph_candidates(pattern)
+        if isinstance(pattern, Graph)
+        else _hypergraph_candidates(pattern)
+    )
+    best_num, best_den = 0, 1
+    witness: tuple[int, ...] = ()
+    for subset, _, num, den in candidates:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+            witness = subset
+
+    # Strict balancedness: no proper subgraph may attain the maximum.
+    # Only induced subgraphs on proper vertex subsets can tie it.  A proper
+    # spanning subgraph has at most e - 2 edges over n - r, which is less
+    # than the full vertex set's (e - 1)/(n - r) and so than the maximum.
+    strict = True
+    candidates = (
+        _graph_candidates(pattern)
+        if isinstance(pattern, Graph)
+        else _hypergraph_candidates(pattern)
+    )
+    for subset, _, num, den in candidates:
+        if len(subset) < pattern.n and num * best_den == best_num * den:
+            strict = False
             break
-        colors = new_colors
-    return tuple(colors)
+
+    return DensityReport(
+        value=Fraction(best_num, best_den),
+        witness=witness,
+        strictly_balanced=strict,
+        uniformity=uniformity,
+    )
 
 
-def invariant_key(graph: Graph) -> tuple:
-    return (graph.n, graph.num_edges, tuple(sorted(wl_colors(graph))))
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return False
-    c1, c2 = wl_colors(g1), wl_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-    by_color: dict[int, list[int]] = {}
-    for w in range(g2.n):
-        by_color.setdefault(c2[w], []).append(w)
-    # Rarest colors first shrink the branching factor.
-    order = sorted(range(g1.n), key=lambda v: (len(by_color[c1[v]]), -g1.degree(v), v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == g1.n:
-            return True
-        v = order[i]
-        for w in by_color[c1[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if (u in g1.adjacency[v]) != (x in g2.adjacency[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if backtrack(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return backtrack(0)
+def reference_minimal_balanced_core(pattern: Graph) -> Graph:
+    """The fewest-edge induced subgraph without isolated vertices at the
+    2-density, ties broken on the edge list; the pattern itself when it is
+    strictly balanced."""
+    report = reference_density_report(pattern, 2)
+    if report.strictly_balanced:
+        return pattern
+    target = report.value
+    masks = pattern.adjacency_masks
+    candidates: list[tuple[int, tuple, tuple[int, ...]]] = []
+    for subset, e, num, den in _graph_candidates(pattern):
+        if Fraction(num, den) != target:
+            continue
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        if any((masks[v] & mask) == 0 for v in subset):
+            continue
+        candidates.append((e, pattern.edges_inside(subset), subset))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    _, _, subset = candidates[0]
+    return pattern.induced(subset, relabel=True)

@@ -58,6 +58,22 @@ def test_disjoint_collection_examples():
     assert out.method == "disjoint-collection"
 
 
+def test_ramsey_certificate_builds_only_the_reported_copy(monkeypatch):
+    host = sample_gnp(14, 0.5, RandomSource(8).stream("host"))
+    first = enumerate_copies(host, K3).copies[0]
+    built = []
+    real_copy = copies.Copy
+
+    def counting_copy(**fields):
+        built.append(fields)
+        return real_copy(**fields)
+
+    monkeypatch.setattr(copies, "Copy", counting_copy)
+    cert = ramsey_certificate(host, K3, 5)
+    assert cert.status == "copy-found"
+    assert len(built) == 1 and cert.violating_copy == first
+
+
 def test_disjoint_collection_builds_only_chosen_copies(monkeypatch):
     host = sample_gnp(14, 0.5, RandomSource(8).stream("host"))
     every_copy = enumerate_copies(host, K3).copies
@@ -125,14 +141,9 @@ def test_greedy_output_maximal_triangle_free():
         host = sample_gnp(rng.randint(5, 14), rng.uniform(0.3, 0.7), src.stream("max", trial))
         result = greedy_alteration(host, K3, list(host.edges))
         out = result.output_graph
-        adjacency = [set(out.adjacency[v]) for v in range(out.n)]
         for u, v in result.removed:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
             grown = Graph(host.n, list(out.edges) + [(u, v)])
             assert len(enumerate_copies(grown, K3)) > 0
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
 
 
 def test_independence_trivial_and_brute():

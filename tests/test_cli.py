@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from alteration_lab.cli import main
-from alteration_lab.graphs import Graph
+from alteration_lab.graphs import Graph, UniformHypergraph
 from alteration_lab.randomness import RandomSource, sample_gnp
 
 
@@ -266,6 +266,8 @@ def test_r_flag_validation(tmp_path):
         ("witness --k 5 --n 10 --p 0.9 --delta 1", 1, "infeasible planting: v_H*t = 3*3 = 9 exceeds k = 5"),
         ("tail --n 10 --p 0.3 --cap 3", 1, "36 packing members exceed cap 3"),
         ("concentration --pattern K3 --k 40 --n 2000 --p 0.5 --trials 100", 1, "estimated 2.00e+08 sampled cells"),
+        ("density K25", 2, "exact density scans all 2^n vertex subsets; a pattern on 25 vertices exceeds the limit of 24"),
+        ("rps --pattern K30 --k 40 --trials 1", 2, "exact density scans all 2^n vertex subsets; a pattern on 30 vertices exceeds the limit of 24"),
     ],
 )
 def test_driver_input_errors_show_without_traceback(args, code, message):
@@ -273,3 +275,20 @@ def test_driver_input_errors_show_without_traceback(args, code, message):
     assert result.exit_code == code, result.output
     assert f"Error: {message}" in result.output
     assert ("Usage:" in result.output) == (code == 2)
+
+
+def test_two_uniform_input_runs_as_a_graph(tmp_path):
+    # An r=2 pattern name or hypergraph file is the graph it spells.
+    args = ("--k", 10, "--trials", 2)
+    assert invoke("concentration", "--pattern", "K3r2", *args) == invoke(
+        "concentration", "--pattern", "K3", *args
+    )
+    _, g = write_host(tmp_path)
+    for name, obj in (("graph.json", g.to_json_obj()), ("h.json", {**g.to_json_obj(), "r": 2})):
+        (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "h.txt").write_text(UniformHypergraph.from_graph(g).to_text())
+    expected = invoke("copies", tmp_path / "graph.json", "--pattern", "K3")
+    assert json.loads(expected)["copies"] > 0
+    for host in ("h.json", "h.txt"):
+        assert invoke("copies", tmp_path / host, "--pattern", "K3") == expected
+        assert invoke("copies", tmp_path / host, "--pattern", "K3r2") == expected

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from alteration_lab.density import (
+    density_report,
     minimal_balanced_core,
     r_density_report,
     two_density_report,
@@ -19,7 +21,13 @@ from alteration_lab.graphs import (
     tight_path,
 )
 
-from oracles import brute_density_all_edge_subsets, brute_two_density
+from corpus import all_graphs_up_to
+from oracles import (
+    brute_density_all_edge_subsets,
+    brute_two_density,
+    reference_density_report,
+    reference_minimal_balanced_core,
+)
 from strategies import graphs
 
 
@@ -42,6 +50,14 @@ def test_cycle_density():
     rep = two_density_report(cycle_graph(5))
     assert rep.value == Fraction(4, 3)
     assert rep.strictly_balanced
+
+
+def test_patterns_over_the_subset_table_limit_fail_fast():
+    for pattern in (complete_graph(25), path_graph(40), complete_uniform(25, 3)):
+        with pytest.raises(ValueError, match="exceeds the limit of 24"):
+            density_report(pattern)
+    with pytest.raises(ValueError, match="exceeds the limit of 24"):
+        minimal_balanced_core(Graph(25, [(0, 1), (1, 2), (0, 2), (2, 3)]))
 
 
 def test_edgeless_rejected():
@@ -172,3 +188,37 @@ def test_witness_density_equals_value():
             assert rep.value == Fraction(1, 2)
         else:
             assert rep.value == Fraction(sub.num_edges - 1, sub.n - 2)
+
+
+def test_matches_two_walk_reference_on_corpus():
+    # Every field of the report, and the core, as the earlier two-walk scan
+    # gives them, over every graph with an edge on at most 7 vertices.
+    for graphs in all_graphs_up_to(7).values():
+        for g in graphs:
+            if g.num_edges == 0:
+                continue
+            rep = two_density_report(g)
+            assert rep == reference_density_report(g, 2), g.edges
+            assert minimal_balanced_core(g) == reference_minimal_balanced_core(g), g.edges
+
+
+def test_r_density_matches_two_walk_reference():
+    patterns = [
+        complete_uniform(3, 3),
+        complete_uniform(4, 3),
+        complete_uniform(5, 3),
+        complete_uniform(5, 4),
+        tight_path(2, 3),
+        tight_path(3, 3),
+        tight_path(3, 4),
+        UniformHypergraph(5, 3, [(0, 1, 2), (1, 2, 3)]),  # vertex 4 isolated
+        UniformHypergraph(6, 3, [(0, 1, 2), (3, 4, 5)]),  # each edge ties the whole
+        UniformHypergraph(8, 3, [*combinations(range(4), 3), *combinations(range(4, 8), 3)]),
+        UniformHypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)]),  # two petals tie three
+    ]
+    verdicts = set()
+    for h in patterns:
+        rep = r_density_report(h)
+        assert rep == reference_density_report(h, h.r), h
+        verdicts.add(rep.strictly_balanced)
+    assert verdicts == {True, False}

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from alteration_lab import copies, games
+from alteration_lab.alteration import greedy_alteration
 from alteration_lab.copies import ClosedPairs, enumerate_copies, has_copy_through_edge
 from alteration_lab.density import minimal_balanced_core
 from alteration_lab.games import (
@@ -24,7 +25,14 @@ from alteration_lab.games import (
     run_online_ramsey,
     run_rps,
 )
-from alteration_lab.graphs import Graph, complete_graph, complete_multipartite, cycle_graph
+from alteration_lab.graphs import (
+    Graph,
+    UniformHypergraph,
+    complete_graph,
+    complete_multipartite,
+    complete_uniform,
+    cycle_graph,
+)
 from alteration_lab.randomness import RandomSource, derive_labels
 
 from oracles import brute_has_clique
@@ -336,3 +344,21 @@ def test_transcript_param_lookup():
     assert t.param("n") == 4
     with pytest.raises(KeyError):
         t.param("missing")
+
+
+@pytest.mark.parametrize("pattern", [complete_uniform(4, 3), UniformHypergraph.from_graph(K3)])
+def test_hypergraph_patterns_are_a_type_error(pattern):
+    # Every rooted query and closed-pair record turns a hypergraph pattern away
+    # with an error naming graph patterns.
+    host = complete_graph(6)
+    labels = derive_labels(6, RandomSource(1))
+    calls = [
+        lambda: has_copy_through_edge(host.adjacency_masks, pattern, 0, 1),
+        lambda: run_rps(6, pattern, RandomLegalProposer(), FixedDecider(True), RandomSource(1)),
+        lambda: coupled_rps_check(6, pattern, RandomLegalProposer(), 0.5, labels, RandomSource(1)),
+        lambda: greedy_alteration(host, pattern, host.edges),
+        lambda: run_online_ramsey(pattern, 4, RandomBuilder(8), AllRedPainter(), 10, RandomSource(1)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="graph patterns"):
+            call()

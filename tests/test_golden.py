@@ -110,16 +110,8 @@ def digest(files: dict[str, bytes]) -> str:
 
 
 def written(out: Path) -> dict[str, bytes]:
-    """The driver's output files.  Concentration trial records carry the
-    wall-clock runtime of each trial, the one field that differs from run
-    to run, so it is dropped before hashing."""
-    files = {p.name: p.read_bytes() for p in out.iterdir()}
-    if "trials.jsonl" in files:
-        records = [json.loads(line) for line in files["trials.jsonl"].splitlines()]
-        for rec in records:
-            rec.pop("runtime", None)
-        files["trials.jsonl"] = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
-    return files
+    """The driver's output files, byte for byte."""
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 def run(args: str, workers: int = 1) -> str:
