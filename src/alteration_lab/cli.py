@@ -36,19 +36,24 @@ from .experiments import (
     run_planted_witness,
     run_ramsey_search,
     run_tail_check,
+    summary_csv,
     write_result,
 )
 from .graphs import Graph, load_structure, pattern_from_name
 
 
-def _load(value: str, hint: str):
-    """A structure from a file, or else a pattern name; bad input is a usage error."""
+def _load(value: str, hint: str, graph: bool = False):
+    """A structure from a file, or else a pattern name; bad input, or a
+    hypergraph where graph asks for a graph, is a usage error."""
     try:
-        if os.path.exists(value):
-            return load_structure(value)
-        return pattern_from_name(value)
+        structure = load_structure(value) if os.path.exists(value) else pattern_from_name(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=hint) from exc
+    if graph and not isinstance(structure, Graph):
+        raise click.BadParameter(
+            f"this command runs on graphs, got an r={structure.r} hypergraph", param_hint=hint
+        )
+    return structure
 
 
 def _parse_vertices(value: str) -> list[int]:
@@ -57,9 +62,7 @@ def _parse_vertices(value: str) -> list[int]:
 
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "csv":
-        click.echo("key,value")
-        for key in sorted(obj):
-            click.echo(f"{key},{dumps(obj[key])}")
+        click.echo(summary_csv(obj), nl=False)
     else:
         click.echo(dumps(obj))
 
@@ -116,7 +119,7 @@ def main(ctx: click.Context, config: str | None) -> None:
 @fmt_option
 def density(pattern: str, core: bool, fmt: str) -> None:
     """Exact density report for a pattern (name like K3/C5/P4/K4r3 or a file)."""
-    pat = _load(pattern, "PATTERN")
+    pat = _load(pattern, "PATTERN", graph=core)
     rep = density_report(pat)
     obj = {
         "value": str(rep.value),
@@ -125,8 +128,6 @@ def density(pattern: str, core: bool, fmt: str) -> None:
         "uniformity": rep.uniformity,
     }
     if core:
-        if not isinstance(pat, Graph):
-            raise click.UsageError("--core applies to graph patterns only")
         obj["minimal_core"] = minimal_balanced_core(pat).to_json_obj()
     _emit(obj, fmt)
 
@@ -156,7 +157,7 @@ def copies(host: str, pattern: str, k_sets: tuple[str, ...], cap: int, fmt: str)
             "edges_inside": stats.edges_inside,
             "covered_inside": stats.covered_inside,
         }
-        if isinstance(h, Graph):
+        if h.r == 2:
             packing = packing_report(index, ks, copy_cap=cap)
             entry.update(
                 {
@@ -184,12 +185,8 @@ def copies(host: str, pattern: str, k_sets: tuple[str, ...], cap: int, fmt: str)
 @click.option("--out", "out_file", type=click.Path(), default=None, help="Write the altered graph here instead of stdout.")
 def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file: str | None) -> None:
     """Apply an alteration method; prints the altered graph in text format."""
-    g = _load(host, "HOST")
-    if not isinstance(g, Graph):
-        raise click.UsageError("alterations run on graph hosts")
-    pat = _load(pattern, "--pattern")
-    if not isinstance(pat, Graph):
-        raise click.UsageError("alterations take graph patterns")
+    g = _load(host, "HOST", graph=True)
+    pat = _load(pattern, "--pattern", graph=True)
     if method == "refined":
         result = refined_alteration(g, pat)
     elif method == "disjoint-collection":
@@ -218,9 +215,7 @@ def alter(host: str, pattern: str, method: str, order: str, seed: int, out_file:
 @fmt_option
 def alpha(host: str, budget: int, fmt: str) -> None:
     """Exact independence number with witness (certified bounds on budget stop)."""
-    g = _load(host, "HOST")
-    if not isinstance(g, Graph):
-        raise click.UsageError("independence number runs on graphs")
+    g = _load(host, "HOST", graph=True)
     res = independence_number(g, budget=budget)
     _emit(
         {
@@ -306,9 +301,7 @@ def lemma5(params, out, fmt):
 @fmt_option
 def tail(n, pattern, k_size, p, trials, seed, xs, cap, out, fmt):
     """Disjoint-packing tail bound check against (e*mu/x)^x."""
-    pat = _load(pattern, "--pattern")
-    if not isinstance(pat, Graph):
-        raise click.UsageError("tail check runs on graph patterns")
+    pat = _load(pattern, "--pattern", graph=True)
     result = run_tail_check(
         n, pat, range(k_size), p, trials, seed=seed, x_grid=list(xs) or None, copy_cap=cap
     )
@@ -325,9 +318,7 @@ def tail(n, pattern, k_size, p, trials, seed, xs, cap, out, fmt):
 @fmt_option
 def witness(pattern, k, n, p, delta, out, fmt):
     """Planted multipartite construction forcing many K-touching copies."""
-    pat = _load(pattern, "--pattern")
-    if not isinstance(pat, Graph):
-        raise click.UsageError("the planted witness runs on graph patterns")
+    pat = _load(pattern, "--pattern", graph=True)
     _finish(run_planted_witness(pat, k, n, p, delta), out, fmt)
 
 
@@ -343,9 +334,7 @@ def witness(pattern, k, n, p, delta, out, fmt):
 @fmt_option
 def ramsey_search(pattern, k, big_cs, little_cs, trials, seed, budget, out, fmt):
     """Grid search for certified Ramsey-witness graphs via refined alteration."""
-    pat = _load(pattern, "--pattern")
-    if not isinstance(pat, Graph):
-        raise click.UsageError("the witness search runs on graph patterns")
+    pat = _load(pattern, "--pattern", graph=True)
     result = run_ramsey_search(pat, k, list(big_cs), list(little_cs), trials, seed=seed, budget=budget)
     _finish(result, out, fmt)
 
@@ -385,10 +374,8 @@ def builder_game(params, out, fmt, builder, turn_cap, pool_cap):
 @fmt_option
 def certify(host, pattern, k, budget, fmt):
     """Certify a graph as a Ramsey witness: pattern-free with alpha below k."""
-    g = _load(host, "HOST")
-    pat = _load(pattern, "--pattern")
-    if not isinstance(g, Graph) or not isinstance(pat, Graph):
-        raise click.UsageError("certification runs on graphs")
+    g = _load(host, "HOST", graph=True)
+    pat = _load(pattern, "--pattern", graph=True)
     cert = ramsey_certificate(g, pat, k, budget=budget)
     _emit(
         {

@@ -48,17 +48,12 @@ def _color_order(candidates: int, masks: Sequence[int]) -> tuple[list[int], list
     return order, bounds
 
 
-def max_clique(
-    masks: Sequence[int],
-    budget: int | None = None,
-    stop_at: int | None = None,
-) -> CliqueResult:
+def max_clique(masks: Sequence[int], budget: int | None = None) -> CliqueResult:
     """Exact maximum clique of the graph given by adjacency bitmasks.
 
     budget caps branch-and-bound node expansions; when exhausted the result
     carries exact=False with the best clique found and a certified upper
-    bound (the root coloring number).  stop_at ends the search as soon as a
-    clique of that size is found, yielding a witness rather than a maximum.
+    bound (the root coloring number).
     """
     n = len(masks)
     if n == 0:
@@ -87,14 +82,12 @@ def max_clique(
     best: list[int] = []
     stack: list[int] = []
     expansions = 0
-    exhausted = False
-    stopped = False
 
     def expand(candidates: int) -> bool:
-        nonlocal best_size, best, expansions, exhausted, stopped
+        """False when the budget ran out inside this subtree."""
+        nonlocal best_size, best, expansions
         expansions += 1
         if budget is not None and expansions > budget:
-            exhausted = True
             return False
         order, bounds = _color_order(candidates, re_masks)
         for i in range(len(order) - 1, -1, -1):
@@ -111,15 +104,10 @@ def max_clique(
             elif len(stack) > best_size:
                 best_size = len(stack)
                 best = stack.copy()
-                if stop_at is not None and best_size >= stop_at:
-                    stopped = True
-                    stack.pop()
-                    return False
             stack.pop()
         return True
 
-    completed = expand(full)
-    exact = completed and not exhausted and not stopped
+    exact = expand(full)
     upper = best_size if exact else max(best_size, root_bound)
     members = tuple(sorted(perm[v] for v in best))
     return CliqueResult(best_size, members, exact, upper, expansions)
@@ -136,11 +124,3 @@ def max_independent_set(
 ) -> CliqueResult:
     """Exact maximum independent set, solved as a clique of the complement."""
     return max_clique(complement_masks(masks), budget=budget)
-
-
-def has_clique_of_size(masks: Sequence[int], size: int) -> bool:
-    """Early-exit test for a clique of at least the given size."""
-    if size <= 0:
-        return True
-    result = max_clique(masks, stop_at=size)
-    return result.size >= size

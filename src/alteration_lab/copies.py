@@ -123,7 +123,7 @@ class CopyIndex:
     ):
         self.host = host
         self.pattern = pattern
-        r = 2 if isinstance(host, Graph) else host.r
+        r = host.r
         m = host.num_edges
         if max(host.n**r, m * m) >= 1 << 63:
             raise OverflowError(f"edge codes of a host with n={host.n}, m={m} exceed int64")
@@ -286,12 +286,11 @@ def _search(plan: PatternPlan, table, allowed: Sequence[int], leaf) -> bool:
 
 
 def _completion_table(structure: Graph | UniformHypergraph):
-    """Graphs: the adjacency masks.  Hypergraphs: every ordering of each
+    """r = 2: the adjacency masks.  r >= 3: every ordering of each
     (r-1)-subset of an edge, mapped to the mask of its completing vertices."""
-    if isinstance(structure, UniformHypergraph) and structure.r == 2:
-        structure = structure.to_graph()
-    if isinstance(structure, Graph):
-        return structure.adjacency_masks
+    if structure.r == 2:
+        graph = structure if isinstance(structure, Graph) else structure.to_graph()
+        return graph.adjacency_masks
     table: defaultdict[EdgeTuple, int] = defaultdict(int)
     for e in structure.edges:
         for j, w in enumerate(e):
@@ -487,17 +486,14 @@ def enumerate_copies(
 ) -> CopyIndex:
     """Enumerate every distinct pattern copy of the host.
 
-    Host and pattern must have the same uniformity.  A pattern larger than
+    Host and pattern must have the same uniformity r, so a graph and an
+    r = 2 hypergraph may meet.  A pattern larger than
     the host simply yields an empty index.  The search visits each copy
     exactly once: the pattern's symmetry-breaking conditions admit one of
     the |Aut(H)| maps onto each copy.
     """
-    if isinstance(pattern, Graph) != isinstance(host, Graph):
-        raise TypeError("host and pattern must both be graphs or both hypergraphs")
-    if isinstance(pattern, UniformHypergraph) and pattern.r != host.r:
-        raise ValueError(
-            f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}"
-        )
+    if pattern.r != host.r:
+        raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
     if pattern.num_edges == 0:
         raise ValueError("pattern must have at least one edge")
 
@@ -628,7 +624,7 @@ def packing_report(
     K-touching copies and the qualifying overlapping copy pairs are packed
     greedily in canonical copy order, which is inclusion-maximal.
     """
-    if not isinstance(index.host, Graph):
+    if index.host.r != 2:
         raise TypeError("packing reports are defined for graph hosts only")
     ks = _validate_k(index.host, k_set)
     rows, inside, members = _k_members(index, ks)

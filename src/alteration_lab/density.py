@@ -91,16 +91,25 @@ def _candidates(counts: list[int], r: int) -> Iterator[tuple[int, int, int, int]
             yield (s, e, 1, r) if size == r else (s, e, e - 1, size - r)
 
 
-def _report(pattern: Graph | UniformHypergraph, r: int) -> DensityReport:
-    """One walk over the subsets keeps the best ratio and its first subset
-    in (size, lexicographic) order.
+def density_report(pattern: Graph | UniformHypergraph) -> DensityReport:
+    """Exact r-density of an r-uniform pattern with at least one edge, which
+    for a graph is its 2-density.
 
-    Only induced subgraphs on proper vertex subsets can tie the maximum: a
-    proper spanning subgraph has at most e - 2 edges over n - r, which is
-    less than the full vertex set's (e - 1)/(n - r) and so than the maximum.
-    A proper subset comes before the full set, so the pattern is strictly
-    balanced exactly when the full set is the witness.
+    One walk over the subsets keeps the best ratio and its first subset
+    in (size, lexicographic) order.  Only induced subgraphs on proper
+    vertex subsets can tie the maximum: a proper spanning subgraph has at
+    most e - 2 edges over n - r, which is less than the full vertex set's
+    (e - 1)/(n - r) and so than the maximum.  A proper subset comes before
+    the full set, so the pattern is strictly balanced exactly when the full
+    set is the witness.
     """
+    r = pattern.r
+    if pattern.num_edges == 0:
+        raise ValueError(
+            "2-density is undefined for an edgeless graph"
+            if r == 2
+            else "r-density is undefined for an edgeless hypergraph"
+        )
     best_num, best_den, witness = 0, 1, 0
     for s, _, num, den in _candidates(_edge_counts(pattern), r):
         gain = num * best_den - best_num * den
@@ -114,24 +123,8 @@ def _report(pattern: Graph | UniformHypergraph, r: int) -> DensityReport:
     )
 
 
-def two_density_report(pattern: Graph) -> DensityReport:
-    """Exact 2-density of a graph with at least one edge."""
-    if pattern.num_edges == 0:
-        raise ValueError("2-density is undefined for an edgeless graph")
-    return _report(pattern, 2)
-
-
-def r_density_report(pattern: UniformHypergraph) -> DensityReport:
-    """Exact r-density of an r-uniform hypergraph with at least one edge."""
-    if pattern.num_edges == 0:
-        raise ValueError("r-density is undefined for an edgeless hypergraph")
-    return _report(pattern, pattern.r)
-
-
-def density_report(pattern: Graph | UniformHypergraph) -> DensityReport:
-    if isinstance(pattern, Graph):
-        return two_density_report(pattern)
-    return r_density_report(pattern)
+# The 2-density of a graph and the r-density of a hypergraph are one report.
+two_density_report = r_density_report = density_report
 
 
 def minimal_balanced_core(pattern: Graph) -> Graph:

@@ -14,6 +14,7 @@ aggregation is order-independent.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -118,10 +119,6 @@ class ExperimentParams:
         }
 
 
-def _uniformity(pattern: Pattern) -> int:
-    return 2 if isinstance(pattern, Graph) else pattern.r
-
-
 def derived_n_p(
     k: int, big_c: float, little_c: float, exponent: Fraction, r: int
 ) -> tuple[int, float, bool]:
@@ -166,8 +163,8 @@ def derive_parameters(
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
     members: tuple[Pattern, ...] = tuple(family) if family is not None else (pattern,)
-    r = _uniformity(members[0])
-    if any(_uniformity(m) != r for m in members):
+    r = members[0].r
+    if any(m.r != r for m in members):
         raise ValueError("all family members must share one uniformity")
     reports = [density_report(m) for m in members]
     if family is not None:
@@ -266,7 +263,7 @@ def _adversarial_k(
     """
     if k > host.n:
         raise ValueError(f"K of size {k} does not fit in a host on {host.n} vertices")
-    r = _uniformity(host)
+    r = host.r
     edges = np.asarray(covered, dtype=np.int64).reshape(-1, r)
     # others[u] holds, per covered edge at u, the edge's other r - 1 vertices.
     at = np.argsort(edges.ravel(), kind="stable")
@@ -297,6 +294,19 @@ def _adversarial_k(
     return k_sets
 
 
+def _mean(values: Sequence) -> float | None:
+    """The mean of the values, or None when there are none."""
+    return sum(values) / len(values) if values else None
+
+
+def _concentration_thresholds(params: ExperimentParams) -> dict:
+    """The most copy-covered edges (Y) and the fewest edges (X) a k-set may hold."""
+    return {
+        "y_threshold": params.delta * math.comb(params.k, params.r) * params.p,
+        "x_threshold": (1 - params.delta) * math.comb(params.k, params.r) * params.p,
+    }
+
+
 def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) -> dict:
     stream = RandomSource(params.seed).stream("concentration", trial)
     host = _sample_host(params, stream)
@@ -322,8 +332,7 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
         pick = stream.choice(params.n, size=params.k, replace=False)
         k_sets.append(tuple(sorted(int(v) for v in pick)))
 
-    y_threshold = params.delta * math.comb(params.k, params.r) * params.p
-    x_threshold = (1 - params.delta) * math.comb(params.k, params.r) * params.p
+    thresholds = _concentration_thresholds(params)
     rows = []
     all_y_ok = True
     all_x_ok = True
@@ -336,8 +345,8 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
             stats = k_set_stats(indexes[0], ks)
             member_y = [stats.covered_inside]
             y_used = stats.covered_inside
-        y_ok = y_used <= y_threshold
-        x_ok = stats.edges_inside >= x_threshold
+        y_ok = y_used <= thresholds["y_threshold"]
+        x_ok = stats.edges_inside >= thresholds["x_threshold"]
         all_y_ok &= y_ok
         all_x_ok &= x_ok
         rows.append(
@@ -373,21 +382,18 @@ def run_concentration_experiment(
     base = {
         "params": params.describe(),
         "k_policy": k_policy,
-        "y_threshold": params.delta * math.comb(params.k, params.r) * params.p,
-        "x_threshold": (1 - params.delta) * math.comb(params.k, params.r) * params.p,
+        **_concentration_thresholds(params),
     }
     if params.n < params.k:
-        summary = dict(base)
-        summary.update(
-            {
-                "vacuous": True,
-                "note": "n < k: no k-vertex subsets exist, thresholds hold vacuously",
-                "freq_y_ok": 1.0,
-                "freq_x_ok": 1.0,
-                "mean_x": None,
-                "mean_y": None,
-            }
-        )
+        summary = {
+            **base,
+            "vacuous": True,
+            "note": "n < k: no k-vertex subsets exist, thresholds hold vacuously",
+            "freq_y_ok": 1.0,
+            "freq_x_ok": 1.0,
+            "mean_x": None,
+            "mean_y": None,
+        }
         return ExperimentResult("concentration", summary, [], [])
     _guard_size(params)
     records = map_trials(
@@ -395,18 +401,24 @@ def run_concentration_experiment(
     )
     xs = [row["x"] for rec in records for row in rec["k_sets"]]
     ys = [row["y"] for rec in records for row in rec["k_sets"]]
-    summary = dict(base)
-    summary.update(
-        {
-            "vacuous": False,
-            "freq_y_ok": sum(r["all_y_ok"] for r in records) / len(records),
-            "freq_x_ok": sum(r["all_x_ok"] for r in records) / len(records),
-            "mean_x": sum(xs) / len(xs) if xs else None,
-            "mean_y": sum(ys) / len(ys) if ys else None,
-            "mean_copies": sum(sum(r["copy_counts"]) for r in records) / len(records),
-        }
-    )
+    summary = {
+        **base,
+        "vacuous": False,
+        "freq_y_ok": _mean([r["all_y_ok"] for r in records]),
+        "freq_x_ok": _mean([r["all_x_ok"] for r in records]),
+        "mean_x": _mean(xs),
+        "mean_y": _mean(ys),
+        "mean_copies": _mean([sum(r["copy_counts"]) for r in records]),
+    }
     return ExperimentResult("concentration", summary, records, [])
+
+
+def _copy_count_thresholds(params: ExperimentParams) -> dict:
+    """The most copies a host vertex, and a whole host, may hold."""
+    return {
+        "per_vertex_threshold": params.delta * params.n * params.p,
+        "total_threshold": params.delta * math.comb(params.n, 2) * params.p,
+    }
 
 
 def _copy_count_trial(params: ExperimentParams, trial: int) -> dict:
@@ -421,15 +433,15 @@ def _copy_count_trial(params: ExperimentParams, trial: int) -> dict:
             f"(total={stats.total}, per-vertex sum={sum(stats.per_vertex)})"
         )
     max_per_vertex = max(stats.per_vertex, default=0)
+    thresholds = _copy_count_thresholds(params)
     return {
         "trial": trial,
         "host_edges": host.num_edges,
         "total_copies": stats.total,
         "max_per_vertex": max_per_vertex,
         "identity_ok": identity_ok,
-        "per_vertex_ok": max_per_vertex <= params.delta * params.n * params.p,
-        "total_ok": stats.total
-        <= params.delta * math.comb(params.n, 2) * params.p,
+        "per_vertex_ok": max_per_vertex <= thresholds["per_vertex_threshold"],
+        "total_ok": stats.total <= thresholds["total_threshold"],
     }
 
 
@@ -449,12 +461,11 @@ def run_copy_count_experiment(
     records = map_trials(partial(_copy_count_trial, params), params.trials, workers)
     summary = {
         "params": params.describe(),
-        "per_vertex_threshold": params.delta * params.n * params.p,
-        "total_threshold": params.delta * math.comb(params.n, 2) * params.p,
-        "freq_per_vertex_ok": sum(r["per_vertex_ok"] for r in records) / len(records),
-        "freq_total_ok": sum(r["total_ok"] for r in records) / len(records),
+        **_copy_count_thresholds(params),
+        "freq_per_vertex_ok": _mean([r["per_vertex_ok"] for r in records]),
+        "freq_total_ok": _mean([r["total_ok"] for r in records]),
         "identity_violations": sum(not r["identity_ok"] for r in records),
-        "mean_total": sum(r["total_copies"] for r in records) / len(records),
+        "mean_total": _mean([r["total_copies"] for r in records]),
     }
     return ExperimentResult("copy-count", summary, records, [])
 
@@ -768,9 +779,9 @@ def run_game_experiment(
             "mode": mode,
             "params": params.describe(),
             "proposer": proposer,
-            "freq_proposer_win": sum(r["proposer_win"] for r in records) / len(records),
-            "freq_alpha_exact": sum(r["alpha_exact"] for r in records) / len(records),
-            "mean_final_edges": sum(r["final_edges"] for r in records) / len(records),
+            "freq_proposer_win": _mean([r["proposer_win"] for r in records]),
+            "freq_alpha_exact": _mean([r["alpha_exact"] for r in records]),
+            "mean_final_edges": _mean([r["final_edges"] for r in records]),
         }
         return ExperimentResult("rps-game", summary, records, [])
     if mode == "builder":
@@ -791,7 +802,7 @@ def run_game_experiment(
             "pool_cap": pool,
             "degree_threshold": threshold,
             "core": core.to_json_obj(),
-            "freq_survived": sum(r["survived"] for r in records) / len(records),
+            "freq_survived": _mean([r["survived"] for r in records]),
             "red_core_violations": sum(not r["red_core_free"] for r in records),
         }
         return ExperimentResult("builder-game", summary, records, [])
@@ -819,16 +830,22 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=_json_default)
 
 
+def summary_csv(summary: dict) -> str:
+    """A summary as CSV: a key,value header, then one row per key in sorted
+    order with its value as JSON, quoted where CSV needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["key", "value"])
+    writer.writerows([key, dumps(summary[key])] for key in sorted(summary))
+    return buf.getvalue()
+
+
 def write_result(result: ExperimentResult, out_dir: str | Path) -> None:
     """Write summary.json, summary.csv, trials.jsonl and plot.csv (if any)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(dumps(result.summary) + "\n", encoding="utf-8")
-    with (out / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key in sorted(result.summary):
-            writer.writerow([key, dumps(result.summary[key])])
+    (out / "summary.csv").write_text(summary_csv(result.summary), encoding="utf-8", newline="")
     if result.records:
         with (out / "trials.jsonl").open("w", encoding="utf-8") as fh:
             for rec in result.records:

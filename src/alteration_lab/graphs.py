@@ -2,7 +2,10 @@
 
 Vertices are dense integers 0..n-1.  Edges are stored canonically (sorted
 tuples) so that equal structures compare and serialize identically.  Both
-types round-trip through a line-based text format and a JSON object form.
+types round-trip through a line-based text format and a JSON object form,
+which one private base class defines for both.  Uniformity is the
+attribute r: a Graph has r = 2 as a class attribute, and a hypergraph
+carries its own; the Graph forms hold no r.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_fields(obj, kind: str, keys: str) -> list:
+def _json_fields(obj, kind: str, keys: Sequence[str]) -> list:
     """The named fields of a JSON object form, or ValueError naming a missing
-    or mistyped one: n and r are integers, edges a list of integer lists."""
+    or mistyped one: n and r are integers, edges a list of integer lists,
+    each of r vertices (2 for graphs)."""
     if not isinstance(obj, dict):
         raise ValueError(f"{kind} JSON must be an object, got {type(obj).__name__}")
-    for key in keys.split():
+    for key in keys:
         if key not in obj:
             raise ValueError(f"{kind} JSON object has no {key!r} key")
         value = obj[key]
@@ -68,13 +72,83 @@ def _json_fields(obj, kind: str, keys: str) -> list:
             rows = isinstance(value, list) and all(isinstance(e, list) for e in value)
             if not (rows and all(_is_int(v) for e in value for v in e)):
                 raise ValueError(f"{kind} JSON field 'edges' must be a list of integer lists")
+            width = obj["r"] if "r" in keys else 2
+            for e in value:
+                if len(e) != width:
+                    raise ValueError(f"{kind} JSON field 'edges': edge {e} does not hold {width} vertices")
         elif not _is_int(value):
             raise ValueError(f"{kind} JSON field {key!r} must be an integer, got {type(value).__name__}")
-    return [obj[key] for key in keys.split()]
+    return [obj[key] for key in keys]
 
 
-class Graph:
-    """Simple undirected graph on vertices 0..n-1.
+class _Structure:
+    """What graphs and r-uniform hypergraphs share: the edge count, equality
+    and hashing, and the text and JSON forms.
+
+    _fields names the header of both forms: 'n m' for graphs, 'n m r' for
+    hypergraphs.  The constructor takes the header values but m, in order,
+    then the edges.
+    """
+
+    __slots__ = ()
+    _kind: str
+    _fields: tuple[str, ...]
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.r == other.r
+            and self.edge_set == other.edge_set
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.n, self.r, self.edge_set))
+        return self._hash
+
+    # -- serialization ------------------------------------------------
+
+    def _header(self) -> list[int]:
+        return [self.num_edges if f == "m" else getattr(self, f) for f in self._fields]
+
+    def to_text(self) -> str:
+        lines = [" ".join(map(str, self._header()))]
+        lines.extend(" ".join(map(str, e)) for e in self.edges)
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str):
+        (n, _, *rest), edges = _parse_text(text, cls._kind, " ".join(cls._fields))
+        return cls(n, *rest, edges)
+
+    def to_json_obj(self) -> dict:
+        obj = dict(zip(self._fields, self._header()))
+        obj["edges"] = [list(e) for e in self.edges]
+        return obj
+
+    @classmethod
+    def from_json_obj(cls, obj: dict):
+        n, *rest, edges = _json_fields(obj, cls._kind, ("n", *cls._fields[2:], "edges"))
+        s = cls(n, *rest, [tuple(e) for e in edges])
+        if "m" in obj and obj["m"] != s.num_edges:
+            raise ValueError("edge count field disagrees with edge list")
+        return s
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_obj(json.loads(text))
+
+
+class Graph(_Structure):
+    """Simple undirected graph on vertices 0..n-1: the r = 2 structure.
 
     Immutable after construction: the edge set and the adjacency
     bitmasks, built on first read, never change.  Safe to share across
@@ -82,6 +156,9 @@ class Graph:
     """
 
     __slots__ = ("n", "edges", "edge_set", "_masks", "_hash")
+    r = 2
+    _kind = "graph"
+    _fields = ("n", "m")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -99,10 +176,6 @@ class Graph:
         self.edge_set: frozenset[Edge] = frozenset(self.edges)
         self._masks: tuple[int, ...] | None = None
         self._hash: int | None = None
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -146,59 +219,19 @@ class Graph:
         gone = {canonical_pair(u, v) for u, v in removed}
         return Graph(self.n, self.edge_set - gone)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_set == other.edge_set
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.edge_set))
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
     def __reduce__(self):
         return (Graph, (self.n, self.edges))
 
-    # -- serialization ------------------------------------------------
 
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Graph":
-        (n, _), edges = _parse_text(text, "graph", "n m")
-        return cls(n, edges)
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "m": self.num_edges, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Graph":
-        n, edges = _json_fields(obj, "graph", "n edges")
-        g = cls(n, [tuple(e) for e in edges])
-        if "m" in obj and obj["m"] != g.num_edges:
-            raise ValueError("edge count field disagrees with edge list")
-        return g
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        return cls.from_json_obj(json.loads(text))
-
-
-class UniformHypergraph:
+class UniformHypergraph(_Structure):
     """r-uniform hypergraph on vertices 0..n-1 with canonical sorted edges."""
 
     __slots__ = ("n", "r", "edges", "edge_set", "_hash")
+    _kind = "hypergraph"
+    _fields = ("n", "m", "r")
 
     def __init__(self, n: int, r: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -219,10 +252,6 @@ class UniformHypergraph:
         self.edge_set: frozenset[tuple[int, ...]] = frozenset(self.edges)
         self._hash: int | None = None
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def edges_inside(self, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         vs = set(vertices)
         return tuple(e for e in self.edges if all(v in vs for v in e))
@@ -237,59 +266,11 @@ class UniformHypergraph:
     def from_graph(cls, g: Graph) -> "UniformHypergraph":
         return cls(g.n, 2, g.edges)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UniformHypergraph)
-            and self.n == other.n
-            and self.r == other.r
-            and self.edge_set == other.edge_set
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.r, self.edge_set))
-        return self._hash
-
     def __repr__(self) -> str:
         return f"UniformHypergraph(n={self.n}, r={self.r}, m={self.num_edges})"
 
     def __reduce__(self):
         return (UniformHypergraph, (self.n, self.r, self.edges))
-
-    # -- serialization ------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.num_edges} {self.r}"]
-        lines.extend(" ".join(str(v) for v in e) for e in self.edges)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "UniformHypergraph":
-        (n, _, r), edges = _parse_text(text, "hypergraph", "n m r")
-        return cls(n, r, edges)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.num_edges,
-            "r": self.r,
-            "edges": [list(e) for e in self.edges],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "UniformHypergraph":
-        n, r, edges = _json_fields(obj, "hypergraph", "n r edges")
-        h = cls(n, r, [tuple(e) for e in edges])
-        if "m" in obj and obj["m"] != h.num_edges:
-            raise ValueError("edge count field disagrees with edge list")
-        return h
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "UniformHypergraph":
-        return cls.from_json_obj(json.loads(text))
 
 
 # -- constructors for common patterns ---------------------------------

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from alteration_lab.cli import main
-from alteration_lab.graphs import Graph, UniformHypergraph
+from alteration_lab.graphs import Graph, UniformHypergraph, complete_graph, complete_uniform
 from alteration_lab.randomness import RandomSource, sample_gnp
 
 
@@ -32,6 +34,16 @@ def test_density_core_and_csv():
     assert out["minimal_core"]["m"] == 5
     csv_out = invoke("density", "K4", "--format", "csv")
     assert csv_out.startswith("key,value")
+
+
+def test_csv_summary_is_the_written_summary(tmp_path):
+    out = tmp_path / "out"
+    args = ("witness", "--pattern", "K3", "--k", 12, "--n", 12, "--p", 0.4, "--delta", 1.0)
+    stdout = invoke(*args, "--format", "csv", "--out", out)
+    rows = list(csv.reader(io.StringIO(stdout)))
+    with (out / "summary.csv").open(newline="", encoding="utf-8") as fh:
+        assert rows == list(csv.reader(fh))
+    assert ["pattern", json.dumps(complete_graph(3).to_json_obj(), sort_keys=True)] in rows
 
 
 def test_density_hypergraph_pattern():
@@ -208,6 +220,7 @@ def test_json_missing_keys_are_usage_errors(tmp_path):
         ("text_n.json", '{"n": "3", "edges": []}', "n"),
         ("int_edges.json", '{"n": 3, "edges": 5}', "edges"),
         ("text_r.json", '{"n": 4, "r": "3", "edges": [[0, 1, 2]]}', "r"),
+        ("wide_edge.json", '{"n": 4, "edges": [[0, 1, 2]]}', "edges"),
     ):
         path = tmp_path / name
         path.write_text(text)
@@ -292,3 +305,29 @@ def test_two_uniform_input_runs_as_a_graph(tmp_path):
     for host in ("h.json", "h.txt"):
         assert invoke("copies", tmp_path / host, "--pattern", "K3") == expected
         assert invoke("copies", tmp_path / host, "--pattern", "K3r2") == expected
+
+
+def test_uniformity_errors_show_without_traceback(tmp_path):
+    host, _ = write_host(tmp_path)
+    hyper = tmp_path / "hyper.txt"
+    hyper.write_text(complete_uniform(5, 3).to_text())
+    runner = CliRunner()
+    result = runner.invoke(main, ["copies", str(host), "--pattern", "K4r3"], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "Error: uniformity mismatch: host r=2, pattern r=3" in result.output
+    # Every command that needs a graph turns a hypergraph away as it loads.
+    for args in (
+        "density K4r3 --core",
+        f"alter {host} --pattern K4r3 --method refined",
+        f"alter {hyper} --pattern K3 --method greedy",
+        f"alpha {hyper}",
+        "tail --n 6 --p 0.5 --pattern K4r3",
+        "witness --pattern K4r3 --k 6 --n 8 --p 0.5",
+        "ramsey-search --pattern K4r3 --k 4",
+        f"certify {host} --pattern K4r3 --k 4",
+        f"certify {hyper} --pattern K3 --k 4",
+    ):
+        result = runner.invoke(main, args.split(), catch_exceptions=False)
+        assert result.exit_code == 2, (args, result.output)
+        assert "this command runs on graphs, got an r=3 hypergraph" in result.output
+        assert "Traceback" not in result.output

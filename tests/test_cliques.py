@@ -2,7 +2,6 @@ import random
 
 from alteration_lab.cliques import (
     complement_masks,
-    has_clique_of_size,
     max_clique,
     max_independent_set,
 )
@@ -52,25 +51,6 @@ def test_budget_exhaustion_gives_certified_bounds():
     capped = max_clique(masks, budget=2)
     assert not capped.exact
     assert capped.size <= truth <= capped.upper_bound
-
-
-def test_stop_at_short_circuits():
-    rng = random.Random(54)
-    masks = random_masks(rng, 14, 0.7)
-    truth = brute_max_clique(masks)
-    if truth >= 3:
-        result = max_clique(masks, stop_at=3)
-        assert result.size >= 3
-    assert has_clique_of_size(masks, truth)
-    assert not has_clique_of_size(masks, truth + 1)
-
-
-def test_stop_at_above_maximum_is_exact():
-    rng = random.Random(55)
-    masks = random_masks(rng, 10, 0.4)
-    truth = brute_max_clique(masks)
-    result = max_clique(masks, stop_at=truth + 5)
-    assert result.exact and result.size == truth
 
 
 def test_empty_graph():

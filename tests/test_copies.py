@@ -77,10 +77,18 @@ def test_empty_pattern_rejected():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="host r=2, pattern r=3"):
         enumerate_copies(K4, complete_uniform(3, 3))
     with pytest.raises(ValueError):
         enumerate_copies(complete_uniform(6, 3), complete_uniform(4, 4))
+
+
+def test_graph_and_two_uniform_hypergraph_mix():
+    # Uniformity decides what may meet: an r=2 hypergraph is a graph here.
+    expected = enumerate_copies(K4, K3).images
+    two_uniform = UniformHypergraph.from_graph
+    for host, pattern in ((K4, two_uniform(K3)), (two_uniform(K4), K3)):
+        assert (enumerate_copies(host, pattern).images == expected).all()
 
 
 def test_disconnected_pattern():

@@ -111,6 +111,8 @@ def test_json_missing_keys_are_named():
         ('{"n": true, "edges": []}', "n"),
         ('{"n": 4, "r": "3", "edges": []}', "r"),
         ('{"n": 4, "r": 3, "edges": {"0": [0, 1, 2]}}', "edges"),
+        ('{"n": 4, "edges": [[0, 1], [0, 1, 2]]}', "edges"),
+        ('{"n": 4, "r": 3, "edges": [[0, 1]]}', "edges"),
     ):
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_structure("g.json", text)
