@@ -108,6 +108,7 @@ def max_clique(masks: Sequence[int], budget: int | None = None) -> CliqueResult:
         return True
 
     exact = expand(full)
+    del expand  # a self-referencing closure: free it now, not at the next collection
     upper = best_size if exact else max(best_size, root_bound)
     members = tuple(sorted(perm[v] for v in best))
     return CliqueResult(best_size, members, exact, upper, expansions)

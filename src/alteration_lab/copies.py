@@ -282,7 +282,11 @@ def _search(plan: PatternPlan, table, allowed: Sequence[int], leaf) -> bool:
             count -= 1
         return False
 
-    return extend(0, 0)
+    found = extend(0, 0)
+    # extend refers to itself; breaking that cycle frees it, the leaf and the
+    # table now rather than at the next garbage collection.
+    del extend
+    return found
 
 
 def _completion_table(structure: Graph | UniformHypergraph):

@@ -67,6 +67,11 @@ class InfeasibleError(RuntimeError):
     """Requested sizes exceed what exact desk-scale computation supports."""
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """Derived experiment operating point plus bookkeeping inputs."""
@@ -85,6 +90,9 @@ class ExperimentParams:
     n: int
     p: float
     p_clamped: bool
+
+    def __post_init__(self):
+        _check_trials(self.trials)
 
     @property
     def patterns(self) -> tuple[Pattern, ...]:
@@ -475,6 +483,16 @@ def run_copy_count_experiment(
 # ---------------------------------------------------------------------
 
 
+# A block of tail trials holds its uniforms (8 bytes per host edge) and its
+# member presence tests (a byte per member edge) in about this many bytes.
+_TAIL_BLOCK_BYTES = 1 << 20
+
+
+def _tail_block(host_edges: int, member_cells: int) -> int:
+    """Trials per block of the tail audit's batched draws."""
+    return max(1, _TAIL_BLOCK_BYTES // (8 * host_edges + member_cells))
+
+
 def run_tail_check(
     n: int,
     pattern: Graph,
@@ -496,6 +514,7 @@ def run_tail_check(
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_trials(trials)
     host = complete_graph(n)
     ks = _validate_k(host, k_set)
     index = enumerate_copies(host, pattern)
@@ -516,15 +535,24 @@ def run_tail_check(
         if any(x <= mu for x in x_grid):
             raise ValueError("tail grid points must exceed mu")
 
-    # Host edge i of K_n is the i-th pair of combinations(range(n), 2), the
-    # pair the i-th draw decides.
+    # Trial t decides host edge i of K_n, the i-th pair of
+    # combinations(range(n), 2), by the i-th uniform of stream ("tail", t).
+    # Z depends only on which members are present, so it is computed once
+    # per presence set.
     source = RandomSource(seed)
     z_hist: dict[int, int] = {}
-    for t in range(trials):
-        bits = source.stream("tail", t).random(host.num_edges) < p
-        present = member_rows[bits[member_rows].all(axis=1)]
-        z = max_independent_set(_conflicts(present.tolist())).size
-        z_hist[z] = z_hist.get(z, 0) + 1
+    z_of: dict[bytes, int] = {}
+    block = _tail_block(host.num_edges, member_rows.size)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        bits = source.uniforms("tail", start, stop, host.num_edges) < p
+        present = bits[:, member_rows].all(axis=2)
+        for row, key in zip(present, np.packbits(present, axis=1)):
+            key = key.tobytes()
+            z = z_of.get(key)
+            if z is None:
+                z = z_of[key] = max_independent_set(_conflicts(member_rows[row].tolist())).size
+            z_hist[z] = z_hist.get(z, 0) + 1
 
     plot_rows = []
     all_ok = True
@@ -637,6 +665,7 @@ def run_ramsey_search(
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    _check_trials(trials)
     exponent = density_report(pattern).value
     source = RandomSource(seed)
     best: dict | None = None

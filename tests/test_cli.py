@@ -281,6 +281,12 @@ def test_r_flag_validation(tmp_path):
         ("concentration --pattern K3 --k 40 --n 2000 --p 0.5 --trials 100", 1, "estimated 2.00e+08 sampled cells"),
         ("density K25", 2, "exact density scans all 2^n vertex subsets; a pattern on 25 vertices exceeds the limit of 24"),
         ("rps --pattern K30 --k 40 --trials 1", 2, "exact density scans all 2^n vertex subsets; a pattern on 30 vertices exceeds the limit of 24"),
+        ("tail --n 6 --p 0.5 --trials 0", 2, "trials must be at least 1, got 0"),
+        ("concentration --pattern K3 --k 5 --trials 0", 2, "trials must be at least 1, got 0"),
+        ("lemma5 --pattern K4 --k 5 --trials -1", 2, "trials must be at least 1, got -1"),
+        ("ramsey-search --k 4 --trials -2", 2, "trials must be at least 1, got -2"),
+        ("rps --pattern K3 --k 5 --trials 0", 2, "trials must be at least 1, got 0"),
+        ("builder-game --pattern K3 --k 5 --trials 0", 2, "trials must be at least 1, got 0"),
     ],
 )
 def test_driver_input_errors_show_without_traceback(args, code, message):

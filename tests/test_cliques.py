@@ -1,3 +1,4 @@
+import gc
 import random
 
 from alteration_lab.cliques import (
@@ -56,3 +57,14 @@ def test_budget_exhaustion_gives_certified_bounds():
 def test_empty_graph():
     result = max_clique([])
     assert result.size == 0 and result.exact
+
+
+def test_max_clique_leaves_no_reference_cycles():
+    masks = random_masks(random.Random(3), 20, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert max_clique(masks).size >= 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from itertools import combinations
@@ -430,3 +431,17 @@ def test_copy_index_rejects_bad_images():
     huge = UniformHypergraph(2**21, 3, [(0, 1, 2)])
     with pytest.raises(OverflowError):
         CopyIndex(huge, complete_uniform(3, 3), [0, 1, 2])
+
+
+def test_searches_leave_no_reference_cycles():
+    # The depth-first search is a self-referencing closure; a cycle would
+    # keep the host table and every found image alive until a collection.
+    host = sample_gnp(20, 0.5, RandomSource(1).stream("host"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_copies(host, complete_graph(3))) > 0
+        has_copy_through_edge(list(host.adjacency_masks), cycle_graph(4), *host.edges[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

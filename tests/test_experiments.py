@@ -289,6 +289,44 @@ def test_tail_check_matches_reference():
                 run_tail_check(n, pattern, [0, 2, n + 1], 1.0, trials=60, seed=n)
 
 
+def test_tail_check_across_block_boundary():
+    # K3 on K10 with K = {0..3}: 45 host edges and 36 members of 3 edges.
+    # The trial count ends three trials into a second block of draws.
+    trials = experiments._tail_block(45, 36 * 3) + 3
+    for p in (0.3, 0.5, 1.0):
+        result = run_tail_check(10, K3, range(4), p, trials=trials, seed=9)
+        summary, rows = reference_tail_check(10, K3, range(4), p, trials=trials, seed=9)
+        assert dumps(result.summary) == dumps(summary)
+        assert dumps(result.plot_rows) == dumps(rows)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda t: run_concentration_experiment(
+            derive_parameters(K3, k=6, big_c=1.0, little_c=1.0, trials=t)
+        ),
+        lambda t: run_copy_count_experiment(
+            derive_parameters(K4, k=5, big_c=1.0, little_c=1.0, trials=t)
+        ),
+        lambda t: run_game_experiment(
+            "rps", derive_parameters(K3, k=5, big_c=1.0, little_c=1.0, trials=t)
+        ),
+        lambda t: run_game_experiment(
+            "builder", derive_parameters(K3, k=5, big_c=1.0, little_c=1.0, trials=t)
+        ),
+        lambda t: run_tail_check(6, K3, range(4), 0.5, trials=t),
+        lambda t: run_ramsey_search(K3, 4, [1.0], [1.0], trials=t),
+    ],
+    ids=["concentration", "lemma5", "rps", "builder-game", "tail", "ramsey-search"],
+)
+def test_drivers_refuse_fewer_than_one_trial(driver):
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            driver(trials)
+    driver(1)
+
+
 def test_packing_audit_and_tail_check_build_no_copies(monkeypatch):
     def no_copy(**fields):
         pytest.fail("a Copy object was built")

@@ -77,6 +77,28 @@ def test_streams_reproducible_and_distinct():
         RandomSource(42).stream("tag", -1)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_uniforms_match_stream_draws_bit_for_bit(seed):
+    # Starts 2**32 - 2 and 2**40 + 5 put the index's high word at 0 -> 1 and
+    # above it; m covers empty, single, odd and longer-than-64 draws.
+    src = RandomSource(seed)
+    for tag in ("tail", "gnp-mean", "ramsey-search/0/1"):
+        for start in (0, 3, 2**32 - 2, 2**40 + 5):
+            for m in (0, 1, 7, 45, 100):
+                got = src.uniforms(tag, start, start + 4, m)
+                want = [src.stream(tag, i).random(m) for i in range(start, start + 4)]
+                assert got.dtype == np.float64 and got.shape == (4, m)
+                assert got.tobytes() == np.array(want).reshape(4, m).tobytes()
+
+
+def test_uniforms_range_checks():
+    src = RandomSource(5)
+    assert src.uniforms("t", 7, 7, 3).shape == (0, 3)
+    for start, stop, m in ((-1, 2, 3), (4, 3, 3), (0, 2**64 + 1, 3), (0, 2, -1)):
+        with pytest.raises(ValueError):
+            src.uniforms("t", start, stop, m)
+
+
 def test_label_table_fixed_once_and_in_range():
     labels = derive_labels(20, RandomSource(9))
     first = labels.label(3, 11)
