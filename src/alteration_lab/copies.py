@@ -4,16 +4,22 @@ A copy is a subgraph of the host isomorphic to the pattern, identified by
 its edge set (plus its vertex set, which only matters for patterns with
 isolated vertices).
 
-One bitmask search, driven by a PatternPlan compiled once per pattern,
-enumerates copies, answers whether a copy passes through an edge, and
-keeps the closed-pair record of a growing graph (ClosedPairs): the pairs
-whose addition would complete a copy, updated by one search per accepted
-edge and read by the propose/decide game with two bit tests.
-Enumeration collects its maps in one flat int list for a CopyIndex.  The
-index keeps copies as int arrays over the host's edge numbering (vertex
-images and edge ids per copy) and derives from them, with numpy, the
-per-edge copy counts, the covered-edge mask and the copy-multiplicity
-maxima that alteration, k-set statistics and the packing audit need.
+A PatternPlan, compiled once per pattern, places the pattern's vertices
+one position at a time and has two evaluators.  Enumeration evaluates it
+level by level over numpy arrays, in blocks of rows taken depth first
+(Generic Join, Ngo, Re and Rudra, SIGMOD Record 2013, with the
+symmetry-breaking conditions as filters).  A depth-first bitmask search
+answers whether a copy passes through an edge, compiles the plans'
+conditions, and keeps the closed-pair record of a growing graph
+(ClosedPairs): the pairs whose addition would complete a copy, updated by
+one search per accepted edge and read by the propose/decide game with two
+bit tests.
+
+Enumeration hands its image array to a CopyIndex.  The index keeps
+copies as int arrays over the host's edge numbering (vertex images and
+edge ids per copy) and derives from them, with numpy, the per-edge copy
+counts, the covered-edge mask and the copy-multiplicity maxima that
+alteration, k-set statistics and the packing audit need.
 Copy objects and the edge-keyed coverage map are built only when first
 read.
 
@@ -30,9 +36,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -96,6 +102,19 @@ class GlobalCopyStats:
     per_vertex: tuple[int, ...]
 
 
+def _edge_array(structure: Graph | UniformHypergraph) -> np.ndarray:
+    """The edges as an m x r int array, in edge order."""
+    flat = chain.from_iterable(structure.edges)
+    count = structure.num_edges * structure.r
+    return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, structure.r)
+
+
+def _code(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Sorted vertex tuples, given column by column, read as base-n digits:
+    sorted tuples of one length get increasing codes."""
+    return sum(col * n ** (len(columns) - 1 - j) for j, col in enumerate(columns))
+
+
 class CopyIndex:
     """All pattern copies of a host as int arrays over the host's edge numbering.
 
@@ -129,20 +148,15 @@ class CopyIndex:
             raise OverflowError(f"edge codes of a host with n={host.n}, m={m} exceed int64")
         self.images = np.asarray(images, dtype=np.int64).reshape(-1, pattern.n)
         # Column-major: the gathers of k_set_stats stay column by column.
-        self.edge_array = np.asfortranarray(np.array(host.edges, dtype=np.int64).reshape(m, r))
-
-        def code(columns) -> np.ndarray:
-            """Sorted edge vertices read as base-n digits: sorted edges get increasing codes."""
-            return sum(col * host.n ** (r - 1 - j) for j, col in enumerate(columns))
-
+        self.edge_array = np.asfortranarray(_edge_array(host))
         # The images of each pattern edge's j-th vertex, sorted across the
         # edge by min/max passes (r is small).
         ends = [self.images[:, list(col)] for col in zip(*pattern.edges)]
         for last in range(r - 1, 0, -1):
             for j in range(last):
                 ends[j], ends[j + 1] = np.minimum(ends[j], ends[j + 1]), np.maximum(ends[j], ends[j + 1])
-        codes = code(ends)
-        host_codes = code(self.edge_array.T)
+        codes = _code(ends, host.n)
+        host_codes = _code(self.edge_array.T, host.n)
         self.edge_ids = np.searchsorted(host_codes, codes)
         # A code past the last edge finds the -1 sentinel, which no code equals.
         if not np.array_equal(np.append(host_codes, -1)[self.edge_ids], codes):
@@ -485,6 +499,73 @@ class ClosedPairs:
         return bool((self.closed[u] >> v | self.closed[v] >> u) & 1)
 
 
+# Cells of one block's candidate matrix (rows x host vertices).
+_BLOCK_CELLS = 1 << 16
+
+
+def _completion_matrix(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The host's completion rows, with the codes that index them.
+
+    r = 2: no codes, and the adjacency matrix: row u marks the vertices
+    completing u to an edge.  r >= 3: the sorted base-n codes of the
+    (r-1)-subsets of host edges, and a (subsets + 1) x n matrix whose row j
+    marks the vertices completing subset j to an edge; the last row is all
+    false and answers a subset of no edge.
+    """
+    m, r = edges.shape
+    if r == 2:
+        matrix = np.zeros((n, n), dtype=bool)
+        matrix[edges[:, 0], edges[:, 1]] = True
+        matrix[edges[:, 1], edges[:, 0]] = True
+        return None, matrix
+    # Row (i, j) of subsets is edge i without its j-th vertex, edges[i, j].
+    drop = [[c for c in range(r) if c != j] for j in range(r)]
+    subsets = edges[:, drop].reshape(m * r, r - 1)
+    codes, at = np.unique(_code(subsets.T, n), return_inverse=True)
+    matrix = np.zeros((len(codes) + 1, n), dtype=bool)
+    matrix[at, edges.ravel()] = True
+    return codes, matrix
+
+
+def _extend(
+    plan: PatternPlan,
+    pos: int,
+    rows: np.ndarray,
+    fits: np.ndarray,
+    codes: np.ndarray | None,
+    matrix: np.ndarray,
+) -> np.ndarray:
+    """The rows of partial maps extended by every candidate for position
+    pos, row by row and each row's candidates in increasing order.
+
+    A candidate fits the degree of the position's pattern vertex, completes
+    each of its keys to a host edge, is unused, lies above the images the
+    position's conditions name, and leaves at least bound[pos] candidates
+    from itself upward.
+    """
+    n = matrix.shape[1]
+    cand = np.repeat(fits[pos][None, :], len(rows), axis=0)
+    for key in plan.completes[pos]:
+        if codes is None:
+            cand &= matrix[rows[:, key[0]]]
+        else:
+            code = _code(np.sort(rows[:, list(key)], axis=1).T, n)
+            at = np.searchsorted(codes, code)
+            # A code of no subset, past the last one too, reads the false row.
+            cand &= matrix[np.where(np.append(codes, -1)[at] == code, at, len(codes))]
+    cand[np.arange(len(rows))[:, None], rows] = False
+    if plan.lower[pos]:
+        cand &= np.arange(n) > rows[:, list(plan.lower[pos])].max(axis=1)[:, None]
+    if plan.bound[pos] > 1:
+        left = np.cumsum(cand[:, ::-1], axis=1, dtype=np.min_scalar_type(n))[:, ::-1]
+        cand &= left >= plan.bound[pos]
+    at, vertex = np.nonzero(cand)
+    grown = np.empty((len(at), pos + 1), dtype=np.int64)
+    grown[:, :pos] = rows[at]
+    grown[:, pos] = vertex
+    return grown
+
+
 def enumerate_copies(
     host: Graph | UniformHypergraph, pattern: Graph | UniformHypergraph
 ) -> CopyIndex:
@@ -495,6 +576,12 @@ def enumerate_copies(
     the host simply yields an empty index.  The search visits each copy
     exactly once: the pattern's symmetry-breaking conditions admit one of
     the |Aut(H)| maps onto each copy.
+
+    The partial maps are the rows of an int array, and each position
+    extends a block of rows at once (_extend).  A block holds at most
+    _BLOCK_CELLS candidate cells, and each is carried to the last position
+    before the next; np.nonzero lists hits in row-major order, so the maps
+    come out in depth-first order, as the bitmask search would list them.
     """
     if pattern.r != host.r:
         raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
@@ -502,19 +589,24 @@ def enumerate_copies(
         raise ValueError("pattern must have at least one edge")
 
     plan = _compile(pattern)
-    flat: list[int] = []
-
-    def keep(images: list[int], last: int) -> bool:
-        while last:
-            low = last & -last
-            images[-1] = low.bit_length() - 1
-            flat.extend(images)
-            last ^= low
-        return False
-
-    _search(plan, _completion_table(host), [(1 << host.n) - 1] * pattern.n, keep)
-    # The search lists images by position; the index wants pattern vertex order.
-    by_position = np.array(flat, dtype=np.int64).reshape(-1, pattern.n)
+    edges = _edge_array(host)
+    codes, matrix = _completion_matrix(edges, host.n)
+    degree = np.bincount(edges.ravel(), minlength=host.n)
+    needed = np.bincount(_edge_array(pattern).ravel(), minlength=pattern.n)
+    fits = degree >= needed[list(plan.order), None]
+    step = max(1, _BLOCK_CELLS // max(host.n, 1))
+    found = []
+    todo = [(0, np.zeros((1, 0), dtype=np.int64))]
+    while todo:
+        pos, rows = todo.pop()
+        if pos == pattern.n:
+            found.append(rows)
+        elif len(rows) > step:
+            todo.extend((pos, rows[i : i + step]) for i in reversed(range(0, len(rows), step)))
+        elif len(rows):
+            todo.append((pos + 1, _extend(plan, pos, rows, fits, codes, matrix)))
+    by_position = np.concatenate(found) if found else np.zeros((0, pattern.n), dtype=np.int64)
+    # Positions follow the plan's order; the index wants pattern vertex order.
     return CopyIndex(host, pattern, by_position[:, np.argsort(plan.order)])
 
 
@@ -550,6 +642,25 @@ def _k_mask(n: int, ks: frozenset[int]) -> np.ndarray:
     return in_k
 
 
+def _k_set_counts(
+    index: CopyIndex, k_sets: Sequence[Collection[int]], covers: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Edge counts inside each of several vertex sets of the index's host.
+
+    Row 0 counts the host edges inside each set; row 1 + i counts those of
+    them that covers[i], a mask over the host edges, marks.  The sets are
+    one membership mask (sets x n), gathered over the edge array column by
+    column.  The vertices must be host vertices.
+    """
+    members = np.zeros((len(k_sets), index.host.n), dtype=bool)
+    rows = np.repeat(np.arange(len(k_sets)), [len(ks) for ks in k_sets])
+    members[rows, np.fromiter(chain.from_iterable(k_sets), dtype=np.int64, count=len(rows))] = True
+    inside = reduce(np.logical_and, [members[:, col] for col in index.edge_array.T])
+    counts = [np.count_nonzero(inside, axis=1)]
+    counts += [np.count_nonzero(inside & cover, axis=1) for cover in covers]
+    return np.array(counts)
+
+
 def k_set_stats(
     index: CopyIndex,
     k_set: Iterable[int],
@@ -561,19 +672,18 @@ def k_set_stats(
     the K-internal edges lying in a copy of any family member.
     """
     ks = _validate_k(index.host, k_set)
-    inside = _k_mask(index.host.n, ks)[index.edge_array].all(axis=1)
-    family_covered = None
+    covers = [index.covered]
     if family is not None:
         for member in family:
             if member.host != index.host:
                 raise ValueError("family indexes must share the host")
-        covered_by_any = np.logical_or.reduce([m.covered for m in family])
-        family_covered = int(np.count_nonzero(inside & covered_by_any))
+        covers.append(np.logical_or.reduce([m.covered for m in family]))
+    inside, covered, *by_family = _k_set_counts(index, [ks], covers)[:, 0].tolist()
     return KSetStats(
         vertices=tuple(sorted(ks)),
-        edges_inside=int(np.count_nonzero(inside)),
-        covered_inside=int(np.count_nonzero(inside & index.covered)),
-        covered_by_family=family_covered,
+        edges_inside=inside,
+        covered_inside=covered,
+        covered_by_family=by_family[0] if by_family else None,
     )
 
 

@@ -34,10 +34,10 @@ from .copies import (
     PackingInfeasibleError,
     _conflicts,
     _k_members,
+    _k_set_counts,
     _validate_k,
     enumerate_copies,
     global_copy_stats,
-    k_set_stats,
 )
 from .density import density_report, minimal_balanced_core
 from .games import (
@@ -265,23 +265,42 @@ def _adversarial_k(
     """Grow one K per seed edge, greedily maximizing covered internal edges.
 
     score[v] counts covered edges whose only vertex outside the chosen set
-    is v; each step adds the first unchosen vertex of highest score.  The
-    covered-edge incidence is built once for all seeds, and the scores
-    update incrementally from the covered edges at each added vertex.
+    is v; each step adds the first unchosen vertex of highest score.  For
+    r = 2 every seed grows at once: row s of a seeds x n score matrix is
+    seed s's score, and each step adds the covered-edge adjacency row of
+    each seed's new vertex.  For r >= 3 the covered-edge incidence is built
+    once for all seeds, and the scores update incrementally from the
+    covered edges at each added vertex.
     """
     if k > host.n:
         raise ValueError(f"K of size {k} does not fit in a host on {host.n} vertices")
     r = host.r
     edges = np.asarray(covered, dtype=np.int64).reshape(-1, r)
+    # A chosen vertex's score drops below -len(edges), and each covered edge
+    # raises it at most once after that, so it stays below every unchosen
+    # score (all >= 0) and argmax finds the lowest-labelled best vertex.
+    sunk = -len(edges) - 1
+    if r == 2:
+        seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 2)
+        adjacency = np.zeros((host.n, host.n), dtype=np.int64)
+        adjacency[edges[:, 0], edges[:, 1]] = 1
+        adjacency[edges[:, 1], edges[:, 0]] = 1
+        score = np.zeros((len(seeds), host.n), dtype=np.int64)
+        chosen = np.zeros((len(seeds), host.n), dtype=bool)
+        every = np.arange(len(seeds))
+        size = max(k, 2)
+        for step in range(size):
+            u = seeds[:, step] if step < 2 else score.argmax(axis=1)
+            chosen[every, u] = True
+            score[every, u] = sunk
+            score += adjacency[u]
+        # Each step chose a new vertex, so every row holds size of them.
+        return list(map(tuple, np.nonzero(chosen)[1].reshape(len(seeds), size).tolist()))
     # others[u] holds, per covered edge at u, the edge's other r - 1 vertices.
     at = np.argsort(edges.ravel(), kind="stable")
     starts = np.searchsorted(edges.ravel()[at], np.arange(host.n + 1))
     row, col = np.divmod(at, r)
     others = np.split(edges[row[:, None], (col[:, None] + np.arange(1, r)) % r], starts[1:-1])
-    # A chosen vertex's score drops below -len(edges), and each covered edge
-    # raises it at most once after that, so it stays below every unchosen
-    # score (all >= 0) and argmax finds the lowest-labelled best vertex.
-    sunk = -len(edges) - 1
     k_sets = []
     for seed in seeds:
         score = np.zeros(host.n, dtype=np.int64)
@@ -292,12 +311,9 @@ def _adversarial_k(
             chosen[u] = True
             score[u] = sunk
             o = others[u]
-            if r == 2:
-                score[o[:, 0]] += 1
-            else:
-                inside = chosen[o]
-                last = inside.sum(axis=1) == r - 2  # edges now missing one vertex
-                np.add.at(score, o[last][~inside[last]], 1)
+            inside = chosen[o]
+            last = inside.sum(axis=1) == r - 2  # edges now missing one vertex
+            np.add.at(score, o[last][~inside[last]], 1)
         k_sets.append(tuple(np.flatnonzero(chosen).tolist()))
     return k_sets
 
@@ -338,34 +354,24 @@ def _concentration_trial(params: ExperimentParams, k_policy: str, trial: int) ->
     k_sets = _adversarial_k(host, edge_array[covered], seeds, params.k)
     while len(k_sets) < params.k_samples:
         pick = stream.choice(params.n, size=params.k, replace=False)
-        k_sets.append(tuple(sorted(int(v) for v in pick)))
+        k_sets.append(tuple(sorted(pick.tolist())))
 
+    # Row 0 holds each K's edge count X, then one row of covered edges per
+    # pattern, then (family mode) the edges covered by any member: Y.
+    covers = [idx.covered for idx in indexes]
+    if family_mode:
+        covers.append(np.logical_or.reduce(covers))
+    xs, *ys = _k_set_counts(indexes[0], k_sets, covers).tolist()
     thresholds = _concentration_thresholds(params)
     rows = []
     all_y_ok = True
     all_x_ok = True
-    for ks in k_sets:
-        if family_mode:
-            stats = k_set_stats(indexes[0], ks, family=indexes)
-            member_y = [k_set_stats(idx, ks).covered_inside for idx in indexes]
-            y_used = stats.covered_by_family
-        else:
-            stats = k_set_stats(indexes[0], ks)
-            member_y = [stats.covered_inside]
-            y_used = stats.covered_inside
-        y_ok = y_used <= thresholds["y_threshold"]
-        x_ok = stats.edges_inside >= thresholds["x_threshold"]
+    for x, y, member_y in zip(xs, ys[-1], zip(*ys[: len(indexes)])):
+        y_ok = y <= thresholds["y_threshold"]
+        x_ok = x >= thresholds["x_threshold"]
         all_y_ok &= y_ok
         all_x_ok &= x_ok
-        rows.append(
-            {
-                "x": stats.edges_inside,
-                "y": y_used,
-                "y_members": member_y,
-                "y_ok": y_ok,
-                "x_ok": x_ok,
-            }
-        )
+        rows.append({"x": x, "y": y, "y_members": list(member_y), "y_ok": y_ok, "x_ok": x_ok})
     return {
         "trial": trial,
         "host_edges": host.num_edges,

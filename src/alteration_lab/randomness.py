@@ -4,7 +4,8 @@ A single 64-bit master seed fans out into independent substreams addressed
 by a (purpose tag, trial index) pair.  Substream derivation is splittable,
 not sequential, so results never depend on scheduling order: the same
 (seed, tag, index) triple produces the identical value sequence on every
-platform and in every run.
+platform and in every run.  An index is a 64-bit word, 0 <= index < 2**64;
+any other is a ValueError, never a wrapped alias of a valid one.
 
 ``RandomSource.uniforms(tag, start, stop, m)`` computes the first m
 uniforms of every substream ``start <= index < stop`` at once, as numpy
@@ -46,6 +47,12 @@ def _tag_words(tag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_index(index: int) -> None:
+    """A substream index is a 64-bit word: 0 <= index < 2**64."""
+    if not 0 <= index <= _MASK64:
+        raise ValueError(f"stream index must satisfy 0 <= index < 2**64, got {index}")
+
+
 class RandomSource:
     """Master seed plus substream derivation for deterministic experiments.
 
@@ -58,8 +65,7 @@ class RandomSource:
         self.seed = int(seed) & _MASK64
 
     def stream(self, tag: str, index: int = 0) -> np.random.Generator:
-        if index < 0:
-            raise ValueError(f"stream index must be nonnegative, got {index}")
+        _check_index(index)
         lo, hi = _tag_words(tag)
         spawn = (lo, hi, index & 0xFFFFFFFF, (index >> 32) & 0xFFFFFFFF)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=spawn)
@@ -120,7 +126,8 @@ class RandomSource:
 
     def key_bytes(self, tag: str, index: int = 0) -> bytes:
         """16-byte key derived from (seed, tag, index), for keyed-hash tables."""
-        material = struct.pack("<Qq", self.seed, index) + tag.encode("utf-8")
+        _check_index(index)
+        material = struct.pack("<QQ", self.seed, index) + tag.encode("utf-8")
         return hashlib.blake2b(material, digest_size=16).digest()
 
     def __repr__(self) -> str:

@@ -6,7 +6,9 @@ the production paths they audit.  The reference packing audit and tail
 loop are the earlier scans over Copy objects; they reuse copy enumeration,
 the exact independent set and the random streams, not the packing code.
 The reference density report and minimal core are the earlier two-walk
-scan over vertex subsets in (size, lexicographic) order.
+scan over vertex subsets in (size, lexicographic) order.  The reference
+enumeration is the earlier depth-first evaluation of the compiled pattern
+plan over bitmasks, collecting its maps in one flat int list.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
+import numpy as np
+
 from alteration_lab.cliques import max_independent_set
-from alteration_lab.copies import PackingInfeasibleError, PackingReport, enumerate_copies
+from alteration_lab.copies import (
+    PackingInfeasibleError,
+    PackingReport,
+    _compile,
+    _completion_table,
+    _search,
+    enumerate_copies,
+)
 from alteration_lab.density import DensityReport
 from alteration_lab.graphs import Graph, UniformHypergraph, canonical_pair, complete_graph
 from alteration_lab.randomness import RandomSource
@@ -115,6 +126,26 @@ def hypergraph_copy_oracle(host, pattern) -> int:
     aut = hypergraph_injection_count(pattern, pattern)
     assert injections % aut == 0
     return injections // aut
+
+
+def reference_enumerate_images(host, pattern) -> np.ndarray:
+    """The image rows enumerate_copies gives (copies x v_H, pattern vertex
+    order), from the depth-first bitmask search of the same plan: each map's
+    last position is read as a mask, and the maps go to one flat list."""
+    plan = _compile(pattern)
+    flat: list[int] = []
+
+    def keep(images: list[int], last: int) -> bool:
+        while last:
+            low = last & -last
+            images[-1] = low.bit_length() - 1
+            flat.extend(images)
+            last ^= low
+        return False
+
+    _search(plan, _completion_table(host), [(1 << host.n) - 1] * pattern.n, keep)
+    by_position = np.array(flat, dtype=np.int64).reshape(-1, pattern.n)
+    return by_position[:, np.argsort(plan.order)]
 
 
 def brute_copies(host, pattern) -> list[tuple[frozenset, frozenset]]:

@@ -3,6 +3,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from alteration_lab import copies
@@ -35,6 +36,7 @@ from oracles import (
     brute_max_edge_disjoint,
     copy_count_oracle,
     hypergraph_copy_oracle,
+    reference_enumerate_images,
     reference_packing_report,
 )
 
@@ -49,6 +51,7 @@ K23 = complete_multipartite([2, 3])
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
 MATCHING = Graph(4, [(0, 1), (2, 3)])
+EDGE_AND_VERTEX = Graph(3, [(0, 1)])
 
 
 def test_identity_copy():
@@ -445,3 +448,83 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def assert_same_images(host, patterns):
+    for pattern in patterns:
+        expected = reference_enumerate_images(host, pattern)
+        got = enumerate_copies(host, pattern).images
+        assert np.array_equal(got, expected), (host, pattern)
+
+
+def test_level_wise_matches_depth_first_on_graphs():
+    # Row for row, so copy ids and every digest built on them hold.
+    src = RandomSource(43)
+    patterns = (K3, C4, K4, C5, PAW, MATCHING, EDGE_AND_VERTEX, K5)
+    shapes = [(5, 0.9), (9, 0.6), (16, 0.5), (30, 0.3), (47, 0.15), (94, 0.06), (94, 0.03)]
+    for trial, (n, p) in enumerate(shapes * 2):
+        assert_same_images(sample_gnp(n, p, src.stream("level-wise", trial)), patterns)
+    # The concentration hosts of criterion 10: levels span several blocks.
+    for trial, (n, p) in enumerate([(94, 0.369), (47, 0.738)]):
+        assert_same_images(sample_gnp(n, p, src.stream("dense", trial)), (K3, C4, K4))
+    # Empty, sparse and degree-poor hosts: no vertex may fit a position.
+    for host in (Graph(6), Graph(2, [(0, 1)]), path_graph(7), complete_multipartite([1, 5])):
+        assert_same_images(host, patterns)
+
+
+def test_level_wise_matches_depth_first_on_hypergraphs():
+    src = RandomSource(47)
+    three = (complete_uniform(4, 3), tight_path(2, 3), tight_path(3, 3),
+             UniformHypergraph(5, 3, [(0, 1, 2), (1, 2, 3)]))  # vertex 4 isolated
+    four = (complete_uniform(5, 4), tight_path(2, 4), UniformHypergraph(5, 4, [(0, 1, 2, 3)]))
+    for trial in range(6):
+        host = sample_uniform_hypergraph(7 + 2 * trial, 3, 0.5 - 0.06 * trial, src.stream("r3", trial))
+        assert_same_images(host, three)
+        host = sample_uniform_hypergraph(6 + trial, 4, 0.75 - 0.05 * trial, src.stream("r4", trial))
+        assert_same_images(host, four)
+    assert_same_images(UniformHypergraph(6, 3), three)
+
+
+def test_level_wise_order_holds_across_block_boundaries(monkeypatch):
+    # Blocks of two or three rows: every level splits, and the blocks must
+    # still come out depth first.
+    src = RandomSource(53)
+    graph = sample_gnp(24, 0.4, src.stream("blocks"))
+    hypergraph = sample_uniform_hypergraph(10, 3, 0.4, src.stream("blocks-r3"))
+    for rows in (2, 3):
+        monkeypatch.setattr(copies, "_BLOCK_CELLS", rows * graph.n)
+        assert_same_images(graph, (K3, C4, K4, PAW, EDGE_AND_VERTEX))
+        monkeypatch.setattr(copies, "_BLOCK_CELLS", rows * hypergraph.n)
+        assert_same_images(hypergraph, (complete_uniform(4, 3), tight_path(2, 3)))
+
+
+def test_level_wise_evaluation_leaves_no_reference_cycles(monkeypatch):
+    monkeypatch.setattr(copies, "_BLOCK_CELLS", 3 * 20)
+    graph = sample_gnp(20, 0.5, RandomSource(2).stream("host"))
+    hypergraph = sample_uniform_hypergraph(9, 3, 0.4, RandomSource(2).stream("host-r3"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_copies(graph, C4)) > 0
+        assert len(enumerate_copies(hypergraph, complete_uniform(4, 3))) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_batched_k_set_counts_match_brute_force():
+    rng = random.Random(59)
+    src = RandomSource(59)
+    hosts = [sample_gnp(rng.randint(5, 30), rng.uniform(0.2, 0.7), src.stream("ks", t)) for t in range(8)]
+    hosts += [sample_uniform_hypergraph(rng.randint(5, 9), 3, 0.4, src.stream("ks3", t)) for t in range(4)]
+    for host in hosts:
+        patterns = (K3, C4) if host.r == 2 else (complete_uniform(4, 3), tight_path(2, 3))
+        indexes = [enumerate_copies(host, pattern) for pattern in patterns]
+        covered = [index.covered_edges for index in indexes]
+        k_sets = [rng.sample(range(host.n), rng.randint(0, host.n)) for _ in range(12)]
+        union = np.logical_or.reduce([index.covered for index in indexes])
+        counts = copies._k_set_counts(indexes[0], k_sets, [i.covered for i in indexes] + [union])
+        assert counts.shape == (4, len(k_sets))
+        for column, ks in zip(counts.T.tolist(), k_sets):
+            inside, per_set, any_set = brute_k_set_counts(host, covered, ks)
+            assert column == [inside, *per_set, any_set]

@@ -139,14 +139,15 @@ def test_single_pattern_trial_builds_no_copies(monkeypatch):
         pytest.fail("a Copy object was built")
 
     calls = []
-    counted = experiments.k_set_stats
+    counted = experiments._k_set_counts
     monkeypatch.setattr(copies, "Copy", no_copy)
     monkeypatch.setattr(
-        experiments, "k_set_stats", lambda *args, **kw: calls.append(1) or counted(*args, **kw)
+        experiments, "_k_set_counts", lambda *args, **kw: calls.append(1) or counted(*args, **kw)
     )
     params = derive_parameters(K3, k=6, big_c=0.5, little_c=8, trials=2, k_samples=5, seed=6)
     run_concentration_experiment(params)
-    assert len(calls) == params.trials * params.k_samples
+    # One batched call per trial counts every K's edges.
+    assert len(calls) == params.trials
 
 
 def test_graph_only_experiments_reject_hypergraph_patterns():

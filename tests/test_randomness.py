@@ -99,6 +99,27 @@ def test_uniforms_range_checks():
             src.uniforms("t", start, stop, m)
 
 
+def test_stream_and_key_indices_are_64_bit_words():
+    src = RandomSource(2**64 - 1)
+    for index in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            src.stream("t", index)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            src.key_bytes("t", index)
+    # 2**64 once aliased index 0; the top index is a stream of its own.
+    assert src.stream("t", 2**64 - 1).random(2).tobytes() != src.stream("t", 0).random(2).tobytes()
+    assert len({src.key_bytes("t", i) for i in (0, 2**63, 2**64 - 1)}) == 3
+    # Indices that were valid before keep their keys, and so every edge label.
+    expected = {
+        0: "706e452604c351002ff4f4e81356d7bf",
+        5: "de21c6dd77b5716f6f0530bd4ae41e18",
+        2**32 + 1: "bb73579180e35d66a4ee44cab438cf6f",
+        2**63 - 1: "c5502ca8e0639f9ca9e6b817de608a9b",
+    }
+    for index, key in expected.items():
+        assert src.key_bytes("edge-labels", index).hex() == key
+
+
 def test_label_table_fixed_once_and_in_range():
     labels = derive_labels(20, RandomSource(9))
     first = labels.label(3, 11)
