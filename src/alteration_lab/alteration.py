@@ -118,8 +118,6 @@ def disjoint_collection_alteration(graph: Graph, pattern: Graph) -> AlterationRe
 
 def independence_number(graph: Graph, budget: int = 10_000_000) -> IndependenceResult:
     """Exact independence number by branch and bound within a node budget."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     result = max_independent_set(graph.adjacency_masks, budget=budget)
     return IndependenceResult(
         lower=result.size,

@@ -125,10 +125,11 @@ class CopyIndex:
     counts[i] is the number of copies through edge i and covered marks the
     edges with at least one.
 
-    The views order, copies, coverage and covered_edges are built on
-    first use: copies holds Copy objects in canonical Copy.sort_key order,
-    order[i] is the row of canonical copy id i, and the copy ids in
-    coverage and in packing reports index into copies.
+    The views order, copies, coverage, covered_edges and
+    max_copies_per_edge_pair are built on first use: copies holds Copy
+    objects in canonical Copy.sort_key order, order[i] is the row of
+    canonical copy id i, and the copy ids in coverage and in packing
+    reports index into copies.
 
     images may be flat or 2-D; each row must be a distinct copy, given as
     the host image of pattern vertices 0..v_H-1 in turn.
@@ -164,13 +165,15 @@ class CopyIndex:
         self.counts = np.bincount(self.edge_ids.ravel(), minlength=m)
         self.covered = self.counts > 0
         self.max_copies_per_edge = int(self.counts.max(initial=0))
+
+    @cached_property
+    def max_copies_per_edge_pair(self) -> int:
+        """The most copies through any two host edges together."""
         # An edge pair f < g of one copy is the key f * m + g.
         ordered = np.sort(self.edge_ids, axis=1)
-        first, second = np.triu_indices(pattern.num_edges, 1)
-        keys = ordered[:, first] * m + ordered[:, second]
-        self.max_copies_per_edge_pair = int(
-            np.unique(keys, return_counts=True)[1].max(initial=0)
-        )
+        first, second = np.triu_indices(self.pattern.num_edges, 1)
+        keys = ordered[:, first] * self.host.num_edges + ordered[:, second]
+        return int(np.unique(keys, return_counts=True)[1].max(initial=0))
 
     @cached_property
     def order(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alteration import ramsey_certificate, refined_alteration, independence_number
-from .cliques import max_independent_set
+from .cliques import CliqueSearch, complement_masks
 from .copies import (
     PackingInfeasibleError,
     _conflicts,
@@ -532,7 +532,10 @@ def run_tail_check(
         )
     # Summed member by member: len(members) * p**e_H can differ in the last bit.
     mu = sum(p ** pattern.num_edges for _ in member_rows)
-    packing_bound = max_independent_set(_conflicts(member_rows.tolist())).size
+    # Z of a presence set is a clique of the member compatibility graph
+    # restricted to the present members: one search answers every set.
+    search = CliqueSearch(complement_masks(_conflicts(member_rows.tolist())))
+    packing_bound = search.run().size
 
     if x_grid is None:
         x_grid = [x for x in range(1, packing_bound + 1) if x > mu]
@@ -544,7 +547,7 @@ def run_tail_check(
     # Trial t decides host edge i of K_n, the i-th pair of
     # combinations(range(n), 2), by the i-th uniform of stream ("tail", t).
     # Z depends only on which members are present, so it is computed once
-    # per presence set.
+    # per presence set; bit j of the set's packed bytes is member j.
     source = RandomSource(seed)
     z_hist: dict[int, int] = {}
     z_of: dict[bytes, int] = {}
@@ -553,11 +556,11 @@ def run_tail_check(
         stop = min(start + block, trials)
         bits = source.uniforms("tail", start, stop, host.num_edges) < p
         present = bits[:, member_rows].all(axis=2)
-        for row, key in zip(present, np.packbits(present, axis=1)):
+        for key in np.packbits(present, axis=1, bitorder="little"):
             key = key.tobytes()
             z = z_of.get(key)
             if z is None:
-                z = z_of[key] = max_independent_set(_conflicts(member_rows[row].tolist())).size
+                z = z_of[key] = search.run(within=int.from_bytes(key, "little")).size
             z_hist[z] = z_hist.get(z, 0) + 1
 
     plot_rows = []

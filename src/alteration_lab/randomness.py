@@ -62,7 +62,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
 
     def stream(self, tag: str, index: int = 0) -> np.random.Generator:
         _check_index(index)

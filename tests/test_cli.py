@@ -337,3 +337,18 @@ def test_uniformity_errors_show_without_traceback(tmp_path):
         assert result.exit_code == 2, (args, result.output)
         assert "this command runs on graphs, got an r=3 hypergraph" in result.output
         assert "Traceback" not in result.output
+
+
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path):
+    host, _ = write_host(tmp_path)
+    runner = CliRunner()
+    for seed in ("-1", str(2**64)):
+        for args in (
+            ["tail", "--n", "6", "--p", "0.5", "--trials", "2"],
+            ["concentration", "--pattern", "K3", "--k", "6", "--trials", "1"],
+            ["alter", str(host), "--pattern", "K3", "--method", "greedy", "--order", "random"],
+        ):
+            result = runner.invoke(main, [*args, "--seed", seed], catch_exceptions=False)
+            assert result.exit_code == 2, (args, seed, result.output)
+            assert "seed must satisfy 0 <= seed < 2**64" in result.output
+            assert "Traceback" not in result.output

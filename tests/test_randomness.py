@@ -120,6 +120,15 @@ def test_stream_and_key_indices_are_64_bit_words():
         assert src.key_bytes("edge-labels", index).hex() == key
 
 
+def test_seed_is_a_64_bit_word():
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            RandomSource(seed)
+    # 2**64 once aliased seed 0, and -1 the top seed; the ends of the range stay valid.
+    top = RandomSource(2**64 - 1).stream("t").random(2).tobytes()
+    assert top != RandomSource(0).stream("t").random(2).tobytes()
+
+
 def test_label_table_fixed_once_and_in_range():
     labels = derive_labels(20, RandomSource(9))
     first = labels.label(3, 11)
